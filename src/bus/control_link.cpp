@@ -52,28 +52,7 @@ ControlLink::ControlLink(ChannelKind kind, std::string name)
 void
 ControlLink::attachLog(ControlPlaneLog *log)
 {
-    events_ = log ? log->channel(name_, kind_) : nullptr;
-}
-
-void
-ControlLink::attachCascade(CascadeTracer *tracer)
-{
-    cascade_ = tracer ? tracer->channel(name_, kind_) : nullptr;
-}
-
-void
-ControlLink::traceHop(size_t tick, uint64_t seq, uint32_t trace,
-                      double value, bool delivered)
-{
-    if (!cascade_ || trace == 0)
-        return;
-    CascadeHop h;
-    h.tick = tick;
-    h.seq = seq;
-    h.trace = trace;
-    h.value = value;
-    h.delivered = delivered;
-    cascade_->push_back(h);
+    log_ = log ? log->channel(name_, kind_) : nullptr;
 }
 
 void
@@ -97,20 +76,21 @@ ControlLink::loadState(ckpt::SectionReader &r)
 }
 
 void
-ControlLink::mirror(size_t tick, uint64_t seq, double value, double aux,
-                    bool delivered, bool stale)
+ControlLink::record(size_t tick, uint64_t seq, double value, double aux,
+                    bool delivered, bool stale, uint32_t trace)
 {
-    if (!events_)
+    if (!log_ || (trace == 0 && log_->traced_only))
         return;
     ControlEvent e;
     e.tick = tick;
     e.seq = seq;
     e.kind = kind_;
+    e.trace = trace;
     e.value = value;
     e.aux = aux;
     e.delivered = delivered;
     e.stale = stale;
-    events_->push_back(e);
+    log_->events.push_back(e);
 }
 
 BudgetLink::BudgetLink(fault::Link link, long child, std::string name,
@@ -217,8 +197,7 @@ BudgetLink::send(double watts, size_t tick)
             ++stats_->stale_budgets;
     }
     bool sunk = !dropped && !delayed;
-    mirror(tick, seq, sunk ? deliver : 0.0, watts, sunk, stale);
-    traceHop(tick, seq, trace, sunk ? deliver : 0.0, sunk);
+    record(tick, seq, sunk ? deliver : 0.0, watts, sunk, stale, trace);
     if (!sunk)
         return false;
     ++delivered_;
@@ -240,8 +219,7 @@ BudgetLink::deliverLate(const WireMsg &m, size_t now_tick)
         // backwards in epoch order, so the late copy is discarded.
         if (stats_)
             ++stats_->netem_reorder_drops;
-        mirror(now_tick, m.seq, 0.0, m.aux, false, stale);
-        traceHop(now_tick, m.seq, m.trace, 0.0, false);
+        record(now_tick, m.seq, 0.0, m.aux, false, stale, m.trace);
         return false;
     }
     double deliver = std::max(m.value, kMinGrant);
@@ -250,8 +228,7 @@ BudgetLink::deliverLate(const WireMsg &m, size_t now_tick)
         if (stale)
             ++stats_->stale_budgets;
     }
-    mirror(now_tick, m.seq, deliver, m.aux, true, stale);
-    traceHop(now_tick, m.seq, m.trace, deliver, true);
+    record(now_tick, m.seq, deliver, m.aux, true, stale, m.trace);
     ++delivered_;
     last_sink_seq_ = m.seq;
     sank_any_ = true;
@@ -320,8 +297,8 @@ ViolationChannel::poll(size_t tick)
     // undelivered poll, until the hosting process rejoins.
     r.epoch_rate = delivered ? m.value : 0.0;
     r.lifetime_rate = delivered ? m.aux : 0.0;
-    mirror(tick, r.seq, r.epoch_rate, r.lifetime_rate, delivered, false);
-    traceHop(tick, r.seq, m.trace, r.epoch_rate, delivered);
+    record(tick, r.seq, r.epoch_rate, r.lifetime_rate, delivered, false,
+           m.trace);
     return r;
 }
 
@@ -346,7 +323,7 @@ ReferenceLink::send(double r_ref, size_t tick)
     WireMsg m = resolveOutcome(wireMsg(tick, seq, r_ref, 0.0,
                                        kWireDelivered));
     bool delivered = (m.flags & kWireDelivered) != 0;
-    mirror(tick, seq, m.value, 0.0, delivered, false);
+    record(tick, seq, m.value, 0.0, delivered, false, m.trace);
     if (delivered)
         sink_(ReferenceUpdate{m.value, tick, seq});
 }
@@ -362,8 +339,8 @@ TelemetryLink::emit(double value, double aux, size_t tick)
     uint64_t seq = nextSeq();
     WireMsg m = resolveOutcome(wireMsg(tick, seq, value, aux,
                                        kWireDelivered));
-    mirror(tick, seq, m.value, m.aux, (m.flags & kWireDelivered) != 0,
-           false);
+    record(tick, seq, m.value, m.aux, (m.flags & kWireDelivered) != 0,
+           false, m.trace);
 }
 
 } // namespace bus

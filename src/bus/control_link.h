@@ -10,8 +10,9 @@
  *     and tests can reason about ordering and loss;
  *   - fault injection: drop/stale faults on budget links are applied
  *     here, once, instead of being re-implemented per controller;
- *   - observability: delivered (and dropped) messages can be mirrored
- *     into an optional ControlPlaneLog.
+ *   - observability: delivered (and dropped) messages, with the
+ *     cascade trace id they carry, can be recorded into an optional
+ *     ControlPlaneLog.
  *
  * The fault semantics reproduce the per-controller plumbing they
  * replace exactly: a dropped grant is counted and not delivered (the
@@ -30,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "bus/cascade.h"
 #include "bus/control_log.h"
 #include "bus/messages.h"
 #include "bus/transport.h"
@@ -61,16 +61,10 @@ class ControlLink
 
     /**
      * Mirror this link's traffic into @p log (null detaches). Must be
-     * called at wiring time, before the engine runs.
+     * called at wiring time, before the engine runs. A traced-only log
+     * keeps just the messages carrying a non-zero trace id.
      */
     void attachLog(ControlPlaneLog *log);
-
-    /**
-     * Record this link's trace-stamped hops into @p tracer (null
-     * detaches). Must be called at wiring time, before the engine runs.
-     * Only messages carrying a non-zero trace id are recorded.
-     */
-    void attachCascade(CascadeTracer *tracer);
 
     /**
      * Stamp every subsequent message with cascade trace id @p trace
@@ -112,16 +106,12 @@ class ControlLink
     /** Claim the next sequence number (1-based). */
     uint64_t nextSeq() { return ++seq_; }
 
-    /** Append one event to the attached log, if any. */
-    void mirror(size_t tick, uint64_t seq, double value, double aux,
-                bool delivered, bool stale);
-
     /**
-     * Record one resolved hop into the attached cascade buffer, if any.
-     * Untraced messages (trace 0) are skipped.
+     * Append one resolved message to the attached log, if any (a
+     * traced-only log skips it when @p trace is 0).
      */
-    void traceHop(size_t tick, uint64_t seq, uint32_t trace, double value,
-                  bool delivered);
+    void record(size_t tick, uint64_t seq, double value, double aux,
+                bool delivered, bool stale, uint32_t trace);
 
     /**
      * Resolve @p local through the attached transport, or return it
@@ -154,8 +144,7 @@ class ControlLink
     ChannelKind kind_;
     std::string name_;
     uint64_t seq_ = 0;
-    EventBuffer *events_ = nullptr;
-    HopBuffer *cascade_ = nullptr;
+    ControlPlaneLog::LinkLog *log_ = nullptr;
     uint32_t trace_stamp_ = 0;
     Transport *transport_ = nullptr;
     int owner_rank_ = 0;

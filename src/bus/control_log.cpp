@@ -8,7 +8,7 @@
 namespace nps {
 namespace bus {
 
-EventBuffer *
+ControlPlaneLog::LinkLog *
 ControlPlaneLog::channel(const std::string &name, ChannelKind kind)
 {
     for (const auto &l : links_) {
@@ -19,7 +19,8 @@ ControlPlaneLog::channel(const std::string &name, ChannelKind kind)
     links_.push_back(std::make_unique<LinkLog>());
     links_.back()->name = name;
     links_.back()->kind = kind;
-    return &links_.back()->events;
+    links_.back()->traced_only = traced_only_;
+    return links_.back().get();
 }
 
 size_t
@@ -31,14 +32,28 @@ ControlPlaneLog::totalEvents() const
     return n;
 }
 
-std::vector<ControlPlaneLog::Entry>
-ControlPlaneLog::merged() const
+size_t
+ControlPlaneLog::tracedEvents() const
 {
-    std::vector<Entry> out;
-    out.reserve(totalEvents());
+    size_t n = 0;
     for (const auto &l : links_) {
         for (const auto &e : l->events)
-            out.push_back({l.get(), &e});
+            n += e.trace != 0 ? 1 : 0;
+    }
+    return n;
+}
+
+std::vector<ControlPlaneLog::Entry>
+ControlPlaneLog::merged(View view) const
+{
+    const bool traced = view == View::Traced;
+    std::vector<Entry> out;
+    out.reserve(traced ? tracedEvents() : totalEvents());
+    for (const auto &l : links_) {
+        for (const auto &e : l->events) {
+            if (!traced || e.trace != 0)
+                out.push_back({l.get(), &e});
+        }
     }
     std::sort(out.begin(), out.end(), [](const Entry &a, const Entry &b) {
         if (a.event->tick != b.event->tick)
@@ -66,6 +81,25 @@ ControlPlaneLog::writeCsv(std::ostream &out) const
 }
 
 void
+ControlPlaneLog::writeCascadeCsv(std::ostream &out) const
+{
+    util::CsvWriter w(out);
+    w.row("tick", "link", "kind", "seq", "trace", "root_tick",
+          "hop_latency", "value", "delivered");
+    for (const Entry &e : merged(View::Traced)) {
+        // The view holds only stamped events (trace = root tick + 1,
+        // never 0), so the subtraction cannot underflow.
+        unsigned long root = static_cast<unsigned long>(e.event->trace - 1);
+        w.row(static_cast<unsigned long>(e.event->tick), e.link->name,
+              channelKindName(e.event->kind),
+              static_cast<unsigned long>(e.event->seq),
+              static_cast<unsigned long>(e.event->trace), root,
+              static_cast<unsigned long>(e.event->tick - root),
+              e.event->value, e.event->delivered ? 1 : 0);
+    }
+}
+
+void
 ControlPlaneLog::saveState(ckpt::SectionWriter &w) const
 {
     w.putU64(links_.size());
@@ -77,6 +111,7 @@ ControlPlaneLog::saveState(ckpt::SectionWriter &w) const
             w.putU64(e.tick);
             w.putU64(e.seq);
             w.putU32(static_cast<uint32_t>(e.kind));
+            w.putU32(e.trace);
             w.putDouble(e.value);
             w.putDouble(e.aux);
             w.putBool(e.delivered);
@@ -119,6 +154,7 @@ ControlPlaneLog::loadState(ckpt::SectionReader &r)
             e.tick = static_cast<size_t>(r.getU64());
             e.seq = r.getU64();
             e.kind = static_cast<ChannelKind>(r.getU32());
+            e.trace = r.getU32();
             e.value = r.getDouble();
             e.aux = r.getDouble();
             e.delivered = r.getBool();

@@ -1,7 +1,11 @@
 /**
  * @file
- * ControlPlaneLog: optional mirror of every message delivered on the
- * control bus, for observability.
+ * ControlPlaneLog: the one per-link record of control-bus traffic, for
+ * observability. Two CSV views derive from it (docs/OBSERVABILITY.md):
+ *
+ *   - the control log (writeCsv): every mirrored message;
+ *   - the cascade trace (writeCascadeCsv): only the messages stamped
+ *     with a budget-cascade trace id, with per-hop causal latency.
  *
  * Each ControlLink that is attached to the log owns a private per-link
  * event buffer, registered once at wiring time (single-threaded). At
@@ -9,6 +13,13 @@
  * (SMs, CAPs, MMs) can mirror from worker threads without contention or
  * nondeterminism; merged() produces one deterministic, thread-count-
  * independent ordering afterwards by sorting on (tick, link name, seq).
+ * The trace id rides across process boundaries inside the NPSF ctrl
+ * frame, so the merged views are also identical between the
+ * single-process oracle and a distributed run.
+ *
+ * A traced-only log (a run that wants the cascade but not the full
+ * control log) drops unstamped events at record time, so it stores no
+ * more than the cascade view needs.
  *
  * Disabled (detached) links skip mirroring entirely, so the log is
  * strictly pay-for-use and the default build is bit-identical to one
@@ -46,29 +57,49 @@ class ControlPlaneLog
     {
         std::string name;
         ChannelKind kind = ChannelKind::Budget;
+        bool traced_only = false; //!< keep only trace-stamped events
         EventBuffer events;
     };
 
-    /** One entry of the merged view. */
+    /** One entry of a merged view. */
     struct Entry
     {
         const LinkLog *link = nullptr;
         const ControlEvent *event = nullptr;
     };
 
+    /** Which events a merged view holds. */
+    enum class View
+    {
+        All,    //!< every recorded event (the control log)
+        Traced, //!< only trace-stamped events (the cascade trace)
+    };
+
+    /** @p traced_only: record only trace-stamped events. */
+    explicit ControlPlaneLog(bool traced_only = false)
+        : traced_only_(traced_only)
+    {
+    }
+
+    /** Whether this log keeps only trace-stamped events. */
+    bool tracedOnly() const { return traced_only_; }
+
     /**
-     * Register link @p name and return its private event buffer. Must be
-     * called at wiring time, before the engine runs — registration is
-     * not thread-safe (appending to the returned buffer from the owning
+     * Register link @p name and return its private log. Must be called
+     * at wiring time, before the engine runs — registration is not
+     * thread-safe (appending to the returned buffer from the owning
      * sender is). Registering the same name twice is fatal.
      */
-    EventBuffer *channel(const std::string &name, ChannelKind kind);
+    LinkLog *channel(const std::string &name, ChannelKind kind);
 
     /** Number of registered links. */
     size_t numLinks() const { return links_.size(); }
 
     /** Total mirrored events across all links. */
     size_t totalEvents() const;
+
+    /** Mirrored events that carry a cascade trace id. */
+    size_t tracedEvents() const;
 
     /** The registered links, in registration order. */
     const std::vector<std::unique_ptr<LinkLog>> &links() const
@@ -77,14 +108,23 @@ class ControlPlaneLog
     }
 
     /**
-     * All events merged into one deterministic order: by (tick, link
-     * name, seq). Independent of registration order, engine thread
-     * count, and scheduling.
+     * The events of @p view merged into one deterministic order: by
+     * (tick, link name, seq). Independent of registration order, engine
+     * thread count, and scheduling.
      */
-    std::vector<Entry> merged() const;
+    std::vector<Entry> merged(View view = View::All) const;
 
-    /** Write the merged view as CSV (tick,link,kind,seq,...). */
+    /** Write the control-log view as CSV (tick,link,kind,seq,...). */
     void writeCsv(std::ostream &out) const;
+
+    /**
+     * Write the cascade view as CSV:
+     * tick,link,kind,seq,trace,root_tick,hop_latency,value,delivered.
+     * The trace id is the root epoch tick + 1, so the hop latency is the
+     * causal depth in ticks: how long after the root epoch opened this
+     * hop happened.
+     */
+    void writeCascadeCsv(std::ostream &out) const;
 
     /** Serialize every link's buffered events (checkpointing). */
     void saveState(ckpt::SectionWriter &w) const;
@@ -97,6 +137,7 @@ class ControlPlaneLog
     void loadState(ckpt::SectionReader &r);
 
   private:
+    bool traced_only_;
     std::vector<std::unique_ptr<LinkLog>> links_;
 };
 

@@ -70,18 +70,24 @@ struct TelemetrySample
 /**
  * One mirrored control-plane event, as stored by the ControlPlaneLog:
  * the union of all message types flattened into (value, aux) plus the
- * delivery outcome the fault layer decided.
+ * delivery outcome the fault layer decided and the cascade trace id the
+ * message carried.
  */
 struct ControlEvent
 {
     size_t tick = 0;    //!< send/poll tick
     uint64_t seq = 0;   //!< per-link sequence number (1-based)
     ChannelKind kind = ChannelKind::Budget;
+    uint32_t trace = 0; //!< cascade trace id (0 = untraced)
     double value = 0.0; //!< delivered payload (watts, rate, r_ref, ...)
     double aux = 0.0;   //!< secondary payload (intended watts, ...)
     bool delivered = true; //!< false when a fault dropped the message
     bool stale = false;    //!< true when a fault replayed the previous one
 };
+
+// The trace id sits in the padding after kind: a log entry costs the
+// same with or without cascade tracing.
+static_assert(sizeof(ControlEvent) == 48, "ControlEvent grew");
 
 } // namespace bus
 } // namespace nps

@@ -42,9 +42,10 @@ namespace ckpt {
 /**
  * Snapshot container format version (bump on layout change). v2 added
  * the controllers' cascade trace context and made the metrics registry
- * skip runtime (nps_rt_*) families.
+ * skip runtime (nps_rt_*) families; v3 added the trace id to every
+ * control-log event.
  */
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 /**
  * CRC32 (IEEE 802.3 polynomial) of a byte range. Thin alias of

@@ -74,13 +74,6 @@ EnclosureManager::attachControlLog(bus::ControlPlaneLog *log)
 }
 
 void
-EnclosureManager::attachCascade(bus::CascadeTracer *tracer)
-{
-    for (auto &link : grant_links_)
-        link->attachCascade(tracer);
-}
-
-void
 EnclosureManager::attachTransport(bus::Transport *transport,
                                   const bus::OwnerFn &owner)
 {

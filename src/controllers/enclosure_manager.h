@@ -136,9 +136,6 @@ class EnclosureManager : public sim::Actor, public ViolationTracker
     /** Mirror the EM→SM budget links into @p log; null detaches. */
     void attachControlLog(bus::ControlPlaneLog *log);
 
-    /** Record the EM→SM budget hops into @p tracer. */
-    void attachCascade(bus::CascadeTracer *tracer);
-
     /** Cascade trace id of the last GM grant received (0 = none). */
     uint32_t cascadeStamp() const override { return trace_ctx_; }
 

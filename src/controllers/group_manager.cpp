@@ -147,15 +147,6 @@ GroupManager::attachControlLog(bus::ControlPlaneLog *log)
 }
 
 void
-GroupManager::attachCascade(bus::CascadeTracer *tracer)
-{
-    for (auto &link : child_links_)
-        link->attachCascade(tracer);
-    for (auto &link : server_links_)
-        link->attachCascade(tracer);
-}
-
-void
 GroupManager::attachTransport(bus::Transport *transport,
                               const bus::OwnerFn &owner)
 {

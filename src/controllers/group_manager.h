@@ -210,9 +210,6 @@ class GroupManager : public sim::Actor, public ViolationTracker
     /** Mirror this GM's outgoing budget links into @p log. */
     void attachControlLog(bus::ControlPlaneLog *log);
 
-    /** Record this GM's outgoing budget hops into @p tracer. */
-    void attachCascade(bus::CascadeTracer *tracer);
-
     /**
      * Cascade trace context: the root GM's is the epoch it most
      * recently opened (tick + 1 of its last division); a nested GM's is

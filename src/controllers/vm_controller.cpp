@@ -67,17 +67,6 @@ VmController::attachControlLog(bus::ControlPlaneLog *log)
 }
 
 void
-VmController::attachCascade(bus::CascadeTracer *tracer)
-{
-    for (auto &ch : loc_channels_)
-        ch->attachCascade(tracer);
-    for (auto &ch : enc_channels_)
-        ch->attachCascade(tracer);
-    for (auto &ch : grp_channels_)
-        ch->attachCascade(tracer);
-}
-
-void
 VmController::attachTransport(bus::Transport *transport,
                               const bus::OwnerFn &owner)
 {

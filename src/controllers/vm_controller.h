@@ -163,15 +163,12 @@ class VmController : public sim::Actor
 
     /// @}
 
-    /** Mirror the upstream violation channels into @p log. */
-    void attachControlLog(bus::ControlPlaneLog *log);
-
     /**
-     * Record the upstream violation hops into @p tracer: each polled
-     * report closes the loop of the budget epoch the source last
+     * Mirror the upstream violation channels into @p log. Each polled
+     * report carries the trace id of the budget epoch its source last
      * received, completing the GM→EM→SM→VMC cascade.
      */
-    void attachCascade(bus::CascadeTracer *tracer);
+    void attachControlLog(bus::ControlPlaneLog *log);
 
     /**
      * Route the upstream violation channels through @p transport (null

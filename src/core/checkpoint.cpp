@@ -10,7 +10,8 @@
  *   metrics       the MetricsCollector accumulators and series
  *   ec/<i> sm/<i> em/<i> gm/<i> cap/<i> mm/<i>   per controller
  *   vmc           the consolidation controller
- *   controllog    mirrored control-plane events (when enabled)
+ *   controllog    mirrored control-plane events with their trace ids
+ *                 (when the control log or the cascade is enabled)
  *   obs/metrics obs/trace   observability instruments (when enabled)
  *
  * The FaultInjector is deliberately absent: it is immutable after

@@ -83,19 +83,17 @@ Coordinator::buildControllers()
         buildGroupManagers();
     buildVmController();
 
-    if (config_.log_control_plane) {
-        control_log_ = std::make_unique<bus::ControlPlaneLog>();
+    // One log serves both the control-log and the cascade views; a run
+    // that wants only the cascade keeps only the trace-stamped events.
+    if (config_.log_control_plane || config_.observability.cascade) {
+        control_log_ = std::make_unique<bus::ControlPlaneLog>(
+            !config_.log_control_plane);
         attachControlLog();
     }
 
     if (config_.observability.any()) {
         obs_ = std::make_unique<obs::Observability>(config_.observability);
         attachObservability();
-    }
-
-    if (config_.observability.cascade) {
-        cascade_ = std::make_unique<bus::CascadeTracer>();
-        attachCascade();
     }
 }
 
@@ -309,41 +307,34 @@ Coordinator::attachStreamHealth(const fault::StreamHealth *health)
         gm->setStreamHealth(health);
 }
 
+/**
+ * Register every channel with the log in the canonical wiring order, so
+ * the roster — and therefore each merged CSV — is the same in every
+ * process and at every thread count. SMs, cappers and memory managers
+ * send only unstamped references and telemetry, so a traced-only log
+ * registers just the budget-granting levels and the VMC's polls.
+ */
 void
 Coordinator::attachControlLog()
 {
     bus::ControlPlaneLog *log = control_log_.get();
-    for (auto &sm : sms_)
-        sm->attachControlLog(log);
+    const bool all = !log->tracedOnly();
+    if (all) {
+        for (auto &sm : sms_)
+            sm->attachControlLog(log);
+    }
     for (auto &em : ems_)
         em->attachControlLog(log);
     for (auto &gm : gms_)
         gm->attachControlLog(log);
-    for (auto &cap : caps_)
-        cap->attachControlLog(log);
-    for (auto &mm : mems_)
-        mm->attachControlLog(log);
+    if (all) {
+        for (auto &cap : caps_)
+            cap->attachControlLog(log);
+        for (auto &mm : mems_)
+            mm->attachControlLog(log);
+    }
     if (vmc_)
         vmc_->attachControlLog(log);
-}
-
-/**
- * Register the cascade-traced channels in the canonical wiring order
- * (the budget-granting levels, then the VMC's violation polls), so the
- * tracer's channel roster — and therefore the merged CSV — is the same
- * in every process and at every thread count. SMs send only untraced
- * r_ref references and register nothing.
- */
-void
-Coordinator::attachCascade()
-{
-    bus::CascadeTracer *tracer = cascade_.get();
-    for (auto &em : ems_)
-        em->attachCascade(tracer);
-    for (auto &gm : gms_)
-        gm->attachCascade(tracer);
-    if (vmc_)
-        vmc_->attachCascade(tracer);
 }
 
 void

@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "bus/cascade.h"
 #include "bus/control_log.h"
 #include "core/config.h"
 #include "fault/injector.h"
@@ -177,22 +176,15 @@ class Coordinator
 
     /**
      * The control-plane event log, or nullptr unless the config set
-     * log_control_plane.
+     * log_control_plane or observability.cascade. Its cascade view
+     * (writeCascadeCsv) holds every stamped budget/violation hop, so a
+     * run's GM→EM→SM→VMC cascades can be reconstructed offline with
+     * per-hop latency (docs/OBSERVABILITY.md). With only the cascade
+     * enabled the log is traced-only: it holds just those hops.
      */
     const bus::ControlPlaneLog *controlLog() const
     {
         return control_log_.get();
-    }
-
-    /**
-     * The budget-cascade hop trace, or nullptr unless the config set
-     * observability.cascade. Records every stamped budget/violation hop
-     * so a run's GM→EM→SM→VMC cascades can be reconstructed offline
-     * with per-hop latency (docs/OBSERVABILITY.md).
-     */
-    const bus::CascadeTracer *cascadeTracer() const
-    {
-        return cascade_.get();
     }
 
     /** The electrical cappers (empty when disabled), in server order. */
@@ -294,7 +286,6 @@ class Coordinator
                                               long &next_id);
 
     void attachControlLog();
-    void attachCascade();
     void attachObservability();
 
   public:
@@ -314,7 +305,6 @@ class Coordinator
     sim::MetricsCollector metrics_;
     std::unique_ptr<sim::Engine> engine_;
     std::unique_ptr<bus::ControlPlaneLog> control_log_;
-    std::unique_ptr<bus::CascadeTracer> cascade_;
     std::vector<std::shared_ptr<controllers::EfficiencyController>> ecs_;
     std::vector<std::shared_ptr<controllers::ServerManager>> sms_;
     std::vector<std::shared_ptr<controllers::EnclosureManager>> ems_;

@@ -216,15 +216,15 @@ finishObs(Coordinator &coordinator, const LivePlane &lp,
         std::printf("metrics: wrote %s\n", obs.metrics_path.c_str());
     }
     if (!obs.cascade_path.empty()) {
-        const bus::CascadeTracer *tracer = coordinator.cascadeTracer();
-        if (!tracer)
+        if (!coordinator.config().observability.cascade)
             util::fatal("dist: --cascade needs cascade = true in the "
                         "plan's [obs] section");
+        const bus::ControlPlaneLog *log = coordinator.controlLog();
         std::ostringstream out;
-        tracer->writeCsv(out);
+        log->writeCascadeCsv(out);
         ckpt::writeFileAtomic(obs.cascade_path, out.str());
         std::printf("cascade: wrote %zu hops to %s\n",
-                    tracer->totalHops(), obs.cascade_path.c_str());
+                    log->tracedEvents(), obs.cascade_path.c_str());
     }
     if (lp.exporter)
         lp.exporter->linger(lp.linger_ms);

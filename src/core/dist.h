@@ -45,7 +45,7 @@ namespace dist {
 struct ObsOutputs
 {
     std::string metrics_path; //!< end-of-run Prometheus export
-    std::string cascade_path; //!< cascade-trace CSV (bus/cascade.h)
+    std::string cascade_path; //!< cascade-trace CSV (bus/control_log.h)
     std::string http;         //!< live endpoint override for this rank
     unsigned http_linger_ms = 0; //!< linger override (0 = plan's value)
 };

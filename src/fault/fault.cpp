@@ -1,12 +1,14 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <sstream>
 #include <tuple>
 
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/script.h"
 
 namespace nps {
 namespace fault {
@@ -51,6 +53,18 @@ linkName(Link link)
     return "?";
 }
 
+bool
+linkFromName(const std::string &name, Link &out)
+{
+    for (Link l : kAllLinks) {
+        if (name == linkName(l)) {
+            out = l;
+            return true;
+        }
+    }
+    return false;
+}
+
 namespace {
 
 std::string
@@ -78,56 +92,27 @@ levelFromName(const std::string &name)
     util::fatal("faults: unknown level '%s'", name.c_str());
 }
 
-Link
-linkFromName(const std::string &name)
-{
-    for (Link l : {Link::GmToEm, Link::GmToSm, Link::EmToSm,
-                   Link::GmToGm}) {
-        if (name == linkName(l))
-            return l;
-    }
-    util::fatal("faults: unknown link '%s'", name.c_str());
-}
-
 long
-idFromText(const std::string &text)
+idFromText(const util::ScriptClause &c, size_t i)
 {
-    if (text == "*")
+    if (c.tok[i] == "*")
         return FaultEvent::kAll;
-    try {
-        return std::stol(text);
-    } catch (...) {
-        util::fatal("faults: bad target id '%s'", text.c_str());
-    }
+    uint64_t id = 0;
+    if (!util::parseUnsigned(c.tok[i], id) ||
+        id > static_cast<uint64_t>(LONG_MAX))
+        util::fatal("faults: bad target id '%s' in '%s'", c.tok[i].c_str(),
+                    c.raw.c_str());
+    return static_cast<long>(id);
 }
 
-size_t
-tickFromText(const std::string &text)
-{
-    try {
-        return static_cast<size_t>(std::stoull(text));
-    } catch (...) {
-        util::fatal("faults: bad tick '%s'", text.c_str());
-    }
-}
-
-double
-magFromText(const std::string &text)
-{
-    try {
-        return std::stod(text);
-    } catch (...) {
-        util::fatal("faults: bad magnitude '%s'", text.c_str());
-    }
-}
-
-/** Parse one whitespace-separated clause into an event. */
+/** Parse one clause into an event. */
 FaultEvent
-parseClause(const std::vector<std::string> &tok, const std::string &raw)
+parseClause(const util::ScriptClause &c)
 {
+    const std::vector<std::string> &tok = c.tok;
     auto want = [&](size_t lo, size_t hi) {
         if (tok.size() < lo || tok.size() > hi)
-            util::fatal("faults: malformed clause '%s'", raw.c_str());
+            util::fatal("faults: malformed clause '%s'", c.raw.c_str());
     };
     FaultEvent e;
     const std::string &verb = tok[0];
@@ -135,39 +120,40 @@ parseClause(const std::vector<std::string> &tok, const std::string &raw)
         want(5, 5);
         e.kind = FaultKind::Outage;
         e.level = levelFromName(tok[1]);
-        e.id = idFromText(tok[2]);
-        e.start = tickFromText(tok[3]);
-        e.end = tickFromText(tok[4]);
+        e.id = idFromText(c, 2);
+        e.start = c.tick(3);
+        e.end = c.tick(4);
     } else if (verb == "drop" || verb == "stale") {
         want(5, verb == "drop" ? 6 : 5);
         e.kind = verb == "drop" ? FaultKind::DropBudget
                                 : FaultKind::StaleBudget;
-        e.link = linkFromName(tok[1]);
-        e.id = idFromText(tok[2]);
-        e.start = tickFromText(tok[3]);
-        e.end = tickFromText(tok[4]);
+        if (!linkFromName(tok[1], e.link))
+            util::fatal("faults: unknown link '%s'", tok[1].c_str());
+        e.id = idFromText(c, 2);
+        e.start = c.tick(3);
+        e.end = c.tick(4);
         if (tok.size() == 6)
-            e.magnitude = magFromText(tok[5]);
+            e.magnitude = c.number(5);
     } else if (verb == "stuck" || verb == "freeze") {
         want(4, 4);
         e.kind = verb == "stuck" ? FaultKind::StuckPState
                                  : FaultKind::UtilFreeze;
-        e.id = idFromText(tok[1]);
-        e.start = tickFromText(tok[2]);
-        e.end = tickFromText(tok[3]);
+        e.id = idFromText(c, 1);
+        e.start = c.tick(2);
+        e.end = c.tick(3);
     } else if (verb == "noise") {
         want(5, 5);
         e.kind = FaultKind::UtilNoise;
-        e.id = idFromText(tok[1]);
-        e.start = tickFromText(tok[2]);
-        e.end = tickFromText(tok[3]);
-        e.magnitude = magFromText(tok[4]);
+        e.id = idFromText(c, 1);
+        e.start = c.tick(2);
+        e.end = c.tick(3);
+        e.magnitude = c.number(4);
     } else {
         util::fatal("faults: unknown fault verb '%s'", verb.c_str());
     }
     if (e.end < e.start)
         util::fatal("faults: event ends before it starts: '%s'",
-                    raw.c_str());
+                    c.raw.c_str());
     return e;
 }
 
@@ -219,25 +205,8 @@ FaultSchedule
 FaultSchedule::parse(const std::string &text)
 {
     FaultSchedule out;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        // Strip comments, then split the remainder into ';' clauses.
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream clauses(line);
-        std::string clause;
-        while (std::getline(clauses, clause, ';')) {
-            std::istringstream in(clause);
-            std::vector<std::string> tok;
-            std::string t;
-            while (in >> t)
-                tok.push_back(t);
-            if (!tok.empty())
-                out.add(parseClause(tok, clause));
-        }
-    }
+    for (const util::ScriptClause &c : util::readClauses(text, "faults"))
+        out.add(parseClause(c));
     return out;
 }
 

@@ -76,8 +76,15 @@ const char *faultKindName(FaultKind kind);
 /** Script/diagnostic name of a level. */
 const char *levelName(Level level);
 
+/** Every link class, in declaration order. */
+inline constexpr Link kAllLinks[] = {Link::GmToEm, Link::GmToSm,
+                                     Link::EmToSm, Link::GmToGm};
+
 /** Script/diagnostic name of a link. */
 const char *linkName(Link link);
+
+/** The link whose script name is @p name; false when none is. */
+bool linkFromName(const std::string &name, Link &out);
 
 /**
  * One fault event: @p kind active against one target during the half-open

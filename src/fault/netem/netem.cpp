@@ -1,11 +1,12 @@
 #include "fault/netem/netem.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <sstream>
 
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/script.h"
 
 namespace nps {
 namespace fault {
@@ -71,66 +72,32 @@ NetemSchedule::NetemSchedule(std::vector<NetemEvent> events)
 namespace {
 
 void
-parseTarget(const std::string &t, const std::string &clause, NetemEvent *e)
+parseTarget(const util::ScriptClause &c, NetemEvent *e)
 {
+    const std::string &t = c.tok[1];
     if (t == "*") {
         e->all = true;
         return;
     }
     if (t.rfind("rank:", 0) == 0) {
         e->by_rank = true;
-        try {
-            e->rank = std::stoi(t.substr(5));
-        } catch (...) {
+        uint64_t rank = 0;
+        if (!util::parseUnsigned(t.substr(5), rank) || rank > INT_MAX)
             util::fatal("netem script: bad rank '%s' in '%s'", t.c_str(),
-                        clause.c_str());
-        }
-        if (e->rank < 0)
-            util::fatal("netem script: negative rank in '%s'",
-                        clause.c_str());
+                        c.raw.c_str());
+        e->rank = static_cast<int>(rank);
         return;
     }
-    if (t == "gm-em")
-        e->link = Link::GmToEm;
-    else if (t == "gm-sm")
-        e->link = Link::GmToSm;
-    else if (t == "em-sm")
-        e->link = Link::EmToSm;
-    else if (t == "gm-gm")
-        e->link = Link::GmToGm;
-    else
+    if (!linkFromName(t, e->link))
         util::fatal("netem script: unknown target '%s' in '%s' "
-                    "(want gm-em|gm-sm|em-sm|gm-gm|rank:N|*)",
-                    t.c_str(), clause.c_str());
-}
-
-size_t
-parseTick(const std::string &t, const std::string &clause)
-{
-    try {
-        return static_cast<size_t>(std::stoull(t));
-    } catch (...) {
-        util::fatal("netem script: bad tick '%s' in '%s'", t.c_str(),
-                    clause.c_str());
-    }
-    return 0;
-}
-
-double
-parseNum(const std::string &t, const std::string &clause)
-{
-    try {
-        return std::stod(t);
-    } catch (...) {
-        util::fatal("netem script: bad number '%s' in '%s'", t.c_str(),
-                    clause.c_str());
-    }
-    return 0.0;
+                    "(want a link class, rank:N or *)",
+                    t.c_str(), c.raw.c_str());
 }
 
 NetemEvent
-parseClause(const std::vector<std::string> &tok, const std::string &clause)
+parseClause(const util::ScriptClause &c)
 {
+    const std::vector<std::string> &tok = c.tok;
     NetemEvent e;
     const std::string &verb = tok[0];
     size_t min_tok = 4, max_tok = 4;
@@ -151,30 +118,30 @@ parseClause(const std::vector<std::string> &tok, const std::string &clause)
     } else {
         util::fatal("netem script: unknown verb '%s' in '%s' "
                     "(want delay|dup|corrupt|partition)",
-                    verb.c_str(), clause.c_str());
+                    verb.c_str(), c.raw.c_str());
     }
     if (tok.size() < min_tok || tok.size() > max_tok)
         util::fatal("netem script: wrong arity for '%s' in '%s'",
-                    verb.c_str(), clause.c_str());
-    parseTarget(tok[1], clause, &e);
-    e.start = parseTick(tok[2], clause);
-    e.end = parseTick(tok[3], clause);
+                    verb.c_str(), c.raw.c_str());
+    parseTarget(c, &e);
+    e.start = c.tick(2);
+    e.end = c.tick(3);
     if (e.end <= e.start)
         util::fatal("netem script: empty interval [%zu, %zu) in '%s'",
-                    e.start, e.end, clause.c_str());
+                    e.start, e.end, c.raw.c_str());
     if (tok.size() > 4)
-        e.a = parseNum(tok[4], clause);
+        e.a = c.number(4);
     if (tok.size() > 5)
-        e.b = parseNum(tok[5], clause);
+        e.b = c.number(5);
     if (e.kind == NetemKind::Delay) {
         if (e.a < 0.0 || e.b < 0.0)
             util::fatal("netem script: negative delay in '%s'",
-                        clause.c_str());
+                        c.raw.c_str());
     } else if (e.kind != NetemKind::Partition) {
         if (e.a < 0.0 || e.a > 1.0)
             util::fatal("netem script: probability %g outside [0,1] "
                         "in '%s'",
-                        e.a, clause.c_str());
+                        e.a, c.raw.c_str());
     }
     return e;
 }
@@ -185,25 +152,9 @@ NetemSchedule
 NetemSchedule::parse(const std::string &text)
 {
     NetemSchedule out;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        // Strip comments, then split the remainder into ';' clauses.
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream clauses(line);
-        std::string clause;
-        while (std::getline(clauses, clause, ';')) {
-            std::istringstream in(clause);
-            std::vector<std::string> tok;
-            std::string t;
-            while (in >> t)
-                tok.push_back(t);
-            if (!tok.empty())
-                out.add(parseClause(tok, clause));
-        }
-    }
+    for (const util::ScriptClause &c :
+         util::readClauses(text, "netem script"))
+        out.add(parseClause(c));
     return out;
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the typed control links: sequencing, budget drop/stale
  * fault semantics, the delivery clamp, reset, and deterministic
- * mirroring into the control-plane log.
+ * mirroring into the control-plane log and its cascade view.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "bus/control_link.h"
 #include "bus/control_log.h"
 #include "fault/injector.h"
+#include "util/csv.h"
 
 namespace {
 
@@ -251,6 +252,86 @@ TEST(ControlLogTest, MergedOrderIsIndependentOfRegistration)
     // Tick order first: the tick-3 clamp precedes both tick-7 events
     // (the tick is the leading CSV column).
     EXPECT_LT(forward.find("\n3,"), forward.find("\n7,"));
+}
+
+/** Rows of a CSV view (header dropped). */
+std::vector<std::vector<std::string>>
+csvRows(const ControlPlaneLog &log, bool cascade)
+{
+    std::ostringstream out;
+    if (cascade)
+        log.writeCascadeCsv(out);
+    else
+        log.writeCsv(out);
+    auto rows = nps::util::parseCsv(out.str()).rows;
+    rows.erase(rows.begin());
+    return rows;
+}
+
+/** Feed one stamped/unstamped mix of grants and polls into @p log. */
+void
+driveCascade(ControlPlaneLog &log)
+{
+    SinkRecord rec;
+    BudgetLink grant = makeLink(rec);
+    bus::ViolationTracker tracker;
+    ViolationChannel poll("SM/9->VMC", &tracker);
+    ReferenceLink ref("SM/9->EC/9", [](const bus::ReferenceUpdate &) {});
+    grant.attachLog(&log);
+    poll.attachLog(&log);
+    ref.attachLog(&log);
+    grant.send(100.0, 3); // before any epoch: untraced
+    grant.setTraceStamp(11);
+    grant.send(110.0, 10); // epoch opened at tick 10
+    ref.send(0.7, 12);     // references are never stamped
+    poll.poll(14);         // the tracker answers no epoch: untraced
+    grant.setTraceStamp(21);
+    grant.send(120.0, 20);
+    grant.send(125.0, 23);
+}
+
+TEST(ControlLogTest, CascadeViewIsTheTracedSubsetOfTheLog)
+{
+    // With both outputs on, the cascade CSV rows are exactly the control
+    // log's rows whose event carries a trace id, in the same order.
+    ControlPlaneLog log;
+    driveCascade(log);
+    auto events = log.merged();
+    auto control = csvRows(log, false); // tick,link,kind,seq,value,aux,..
+    ASSERT_EQ(control.size(), 6u);
+    ASSERT_EQ(events.size(), control.size());
+    std::vector<std::vector<std::string>> want;
+    for (size_t i = 0; i < events.size(); ++i) {
+        if (events[i].event->trace == 0)
+            continue;
+        const auto &c = control[i];
+        // tick,link,kind,seq,trace,root_tick,hop_latency,value,delivered
+        const size_t root = events[i].event->trace - 1;
+        want.push_back({c[0], c[1], c[2], c[3],
+                        std::to_string(events[i].event->trace),
+                        std::to_string(root),
+                        std::to_string(events[i].event->tick - root), c[4],
+                        c[6]});
+    }
+    ASSERT_EQ(want.size(), 3u);
+    EXPECT_EQ(log.tracedEvents(), want.size());
+    EXPECT_EQ(csvRows(log, true), want);
+    // The first stamped grant went out the tick its epoch opened.
+    EXPECT_EQ(want[0], (std::vector<std::string>{"10", "EM/0->SM/9",
+                                                  "budget", "2", "11",
+                                                  "10", "0", "110", "1"}));
+}
+
+TEST(ControlLogTest, TracedOnlyLogKeepsJustTheStampedEvents)
+{
+    ControlPlaneLog full;
+    ControlPlaneLog traced(/*traced_only=*/true);
+    driveCascade(full);
+    driveCascade(traced);
+    EXPECT_TRUE(traced.tracedOnly());
+    EXPECT_EQ(traced.totalEvents(), traced.tracedEvents());
+    EXPECT_EQ(traced.totalEvents(), full.tracedEvents());
+    EXPECT_EQ(csvRows(traced, true), csvRows(full, true));
 }
 
 } // namespace

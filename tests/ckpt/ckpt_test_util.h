@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared plumbing for the checkpoint/restore suites: build a fully
- * instrumented simulation (controllers + recorder + control log + obs),
+ * instrumented simulation (controllers + recorder + control log with
+ * its cascade view + obs),
  * snapshot it to bytes or disk, restore into a freshly built twin, and
  * collect every exported artifact for byte-exact comparison.
  */
@@ -38,6 +39,8 @@ struct CkptCase
     bool cap_mem = false;     //!< enable electrical cappers + memory mgrs
     const char *faults = nullptr; //!< fault script, or null = fault-free
     bool stream = false;      //!< online run: arms the budget leases
+    /** Arm only the cascade: the control log is then traced-only. */
+    bool cascade_only = false;
 };
 
 /** A built simulation: coordinator + attached recorder. */
@@ -54,9 +57,10 @@ buildSim(const CkptCase &c, unsigned threads)
         nps::core::scenarioConfig(c.scenario);
     cfg.budgets = nps::sim::BudgetConfig::paper201510();
     cfg.threads = threads;
-    cfg.log_control_plane = true;
+    cfg.log_control_plane = !c.cascade_only;
     cfg.observability.metrics = true;
     cfg.observability.trace = true;
+    cfg.observability.cascade = true;
     if (c.cap_mem) {
         cfg.enable_cap = true;
         cfg.enable_mem = true;
@@ -130,6 +134,7 @@ struct Artifacts
 {
     std::string recorder_csv;
     std::string control_csv;
+    std::string cascade_csv;
     std::string metrics_prom;
     std::string trace_csv;
     std::vector<double> power_series;
@@ -141,11 +146,13 @@ inline Artifacts
 collect(const Sim &s)
 {
     Artifacts a;
-    std::ostringstream rec, ctl, met, trc;
+    std::ostringstream rec, ctl, cas, met, trc;
     s.recorder->writeCsv(rec);
     a.recorder_csv = rec.str();
     s.coord->controlLog()->writeCsv(ctl);
     a.control_csv = ctl.str();
+    s.coord->controlLog()->writeCascadeCsv(cas);
+    a.cascade_csv = cas.str();
     s.coord->metricsRegistry()->writeProm(met);
     a.metrics_prom = met.str();
     s.coord->traceSink()->writeCsv(trc);
@@ -162,6 +169,7 @@ expectIdentical(const Artifacts &ref, const Artifacts &got)
 {
     EXPECT_EQ(ref.recorder_csv, got.recorder_csv);
     EXPECT_EQ(ref.control_csv, got.control_csv);
+    EXPECT_EQ(ref.cascade_csv, got.cascade_csv);
     EXPECT_EQ(ref.metrics_prom, got.metrics_prom);
     EXPECT_EQ(ref.trace_csv, got.trace_csv);
     EXPECT_EQ(ref.power_series, got.power_series);

@@ -4,8 +4,9 @@
  * matrix: run a reference simulation straight through, then run a twin
  * up to a split tick, snapshot it, restore the snapshot into a freshly
  * built simulation, finish the remaining ticks, and require every
- * exported artifact — recorder CSV, control-plane log, metrics export,
- * decision trace, power/perf series, summary — to match byte for byte.
+ * exported artifact — recorder CSV, control-plane log, cascade trace,
+ * metrics export, decision trace, power/perf series, summary — to match
+ * byte for byte.
  * Thread counts differ across the split in several cases because
  * determinism must not depend on the worker count.
  */
@@ -109,6 +110,16 @@ TEST(ResumeTest, CapperAndMemoryManagers)
     CkptCase c;
     c.cap_mem = true;
     checkResume(c, 163, 1, 1, 1);
+}
+
+TEST(ResumeTest, CascadeOnlyLogAcrossThreadCounts)
+{
+    // Without the full control log the cascade keeps a traced-only log;
+    // it is checkpointed all the same.
+    CkptCase c;
+    c.cascade_only = true;
+    c.faults = kFaults;
+    checkResume(c, 151, 1, 4, 2);
 }
 
 TEST(ResumeTest, SplitAtTickZero)

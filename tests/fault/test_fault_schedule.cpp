@@ -150,6 +150,23 @@ TEST(FaultScheduleDeath, RejectsMalformedClauses)
     EXPECT_DEATH(FaultSchedule::parse("noise 0 1 2\n"), "");
 }
 
+TEST(FaultScheduleDeath, RejectsPartlyNumericAndSignedTokens)
+{
+    // Every token must be consumed whole: a trailing suffix is not
+    // ignored, and a sign never wraps a tick or an id around.
+    EXPECT_DEATH(FaultSchedule::parse("outage sm 3 10 20x\n"),
+                 "bad tick '20x'");
+    EXPECT_DEATH(FaultSchedule::parse("stuck 1 -1 5\n"), "bad tick '-1'");
+    EXPECT_DEATH(FaultSchedule::parse("drop gm-em 0 1 5 0.5x\n"),
+                 "bad number '0.5x'");
+    EXPECT_DEATH(FaultSchedule::parse("noise 2 1 5 nan\n"),
+                 "bad number 'nan'");
+    EXPECT_DEATH(FaultSchedule::parse("freeze 3x 1 5\n"),
+                 "bad target id '3x'");
+    EXPECT_DEATH(FaultSchedule::parse("freeze -2 1 5\n"),
+                 "bad target id '-2'");
+}
+
 // ---------------------------------------------------------------------
 // Seeded-random campaign.
 

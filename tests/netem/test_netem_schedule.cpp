@@ -81,6 +81,33 @@ TEST(NetemScheduleTest, MalformedScriptsDie)
     EXPECT_DEATH(NetemSchedule::parse("delay gm-em 0 10"), "arity");
 }
 
+TEST(NetemScheduleTest, PartlyNumericAndSignedTokensDie)
+{
+    // "-1" used to wrap to 2^64-1: a window that never ends.
+    EXPECT_DEATH(NetemSchedule::parse("delay gm-em 5 -1 2"),
+                 "bad tick '-1'");
+    EXPECT_DEATH(NetemSchedule::parse("partition * 0 10x"),
+                 "bad tick '10x'");
+    EXPECT_DEATH(NetemSchedule::parse("delay gm-em 0 10 2ms"),
+                 "bad number '2ms'");
+    EXPECT_DEATH(NetemSchedule::parse("dup gm-em 0 10 nan"),
+                 "bad number 'nan'");
+    EXPECT_DEATH(NetemSchedule::parse("partition rank:1x 0 10"),
+                 "bad rank 'rank:1x'");
+    EXPECT_DEATH(NetemSchedule::parse("partition rank:-1 0 10"),
+                 "bad rank 'rank:-1'");
+}
+
+TEST(NetemScheduleTest, TargetsUseTheFaultLinkNames)
+{
+    for (nps::fault::Link l : nps::fault::kAllLinks) {
+        NetemSchedule s = NetemSchedule::parse(
+            std::string("partition ") + nps::fault::linkName(l) + " 0 10");
+        ASSERT_EQ(s.events().size(), 1u);
+        EXPECT_EQ(s.events()[0].link, l);
+    }
+}
+
 TEST(NetemModelTest, TargetsMatchClassRankAndWildcard)
 {
     NetemModel m(NetemSchedule::parse("partition gm-em 10 20\n"

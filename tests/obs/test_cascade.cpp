@@ -6,7 +6,8 @@
  * identical between the single-process plan runtime and the real
  * multi-process distributed runtime — the trace records the causal
  * order of the budget protocol, not the schedule that happened to
- * execute it.
+ * execute it. The trace lives in the checkpointed control-plane log, so
+ * a resumed run writes the same CSV as an uninterrupted one.
  *
  * Drives the real binaries (NPS_NPSIM_BIN, injected by the build;
  * npsnode is found next to npsim). Skips when the macro is absent.
@@ -150,6 +151,54 @@ TEST_F(CascadeTest, PlanAndDistributedRuntimesAgree)
     EXPECT_TRUE(readFile(dir_ + "/plan-rec.csv") ==
                 readFile(dir_ + "/dist-rec.csv"))
         << "recorder CSV diverges between --plan and --distributed";
+}
+
+TEST_F(CascadeTest, CsvSurvivesKillAndResume)
+{
+    const std::string common =
+        "--scenario coordinated --mix 60M --ticks 240 --log-level warn ";
+    ASSERT_EQ(runNpsim(common + "--cascade " + dir_ + "/ref.csv",
+                       "ref.log"),
+              0)
+        << readFile(dir_ + "/ref.log");
+    // Checkpoint every 100 ticks at 4 threads, then resume serially from
+    // the tick-100 snapshot as if the run had died right after it.
+    const std::string ckpts = dir_ + "/ckpts";
+    ASSERT_EQ(runNpsim(common + "--threads 4 --checkpoint-every 100 "
+                                "--checkpoint-dir " + ckpts +
+                           " --cascade " + dir_ + "/first.csv",
+                       "first.log"),
+              0)
+        << readFile(dir_ + "/first.log");
+    ASSERT_EQ(runNpsim("--threads 1 --resume " + ckpts +
+                           "/ckpt-0000000100.nps --cascade " + dir_ +
+                           "/resumed.csv",
+                       "resumed.log"),
+              0)
+        << readFile(dir_ + "/resumed.log");
+
+    std::string ref = readFile(dir_ + "/ref.csv");
+    ASSERT_GT(ref.size(), 100u);
+    EXPECT_TRUE(readFile(dir_ + "/resumed.csv") == ref)
+        << "cascade CSV lost or changed hops across the resume";
+}
+
+TEST_F(CascadeTest, ResumeWithoutArmedCascadeFails)
+{
+    const std::string ckpts = dir_ + "/ckpts";
+    ASSERT_EQ(runNpsim("--mix 60M --ticks 100 --checkpoint-every 100 "
+                       "--checkpoint-dir " + ckpts,
+                       "first.log"),
+              0)
+        << readFile(dir_ + "/first.log");
+    EXPECT_NE(runNpsim("--resume latest --checkpoint-dir " + ckpts +
+                           " --cascade " + dir_ + "/c.csv",
+                       "resumed.log"),
+              0);
+    EXPECT_NE(readFile(dir_ + "/resumed.log")
+                  .find("did not enable the cascade trace"),
+              std::string::npos)
+        << readFile(dir_ + "/resumed.log");
 }
 
 } // namespace

@@ -36,27 +36,8 @@ npsfetch="$(dirname "${npsim}")/npsfetch"
 mkdir -p "${work}"
 work="$(cd "${work}" && pwd)" # plans embed the socket path: absolute
 
-# A failed or interrupted leg can orphan the supervisor's npsnode
-# children (they block at the barrier until their socket timeout), a
-# backgrounded npsim daemon, or an npsfetch stuck on a dead endpoint —
-# and a leaked listener socket breaks the next run on the same path.
-# Every spawned process carries the workdir on its command line (the
-# plan path for npsim/npsnode, the endpoint for npsfetch), so sweep by
-# that — excluding this shell, which may also name the workdir —
-# escalate to SIGKILL for anything that ignores the first pass, then
-# remove the sockets.
-cleanup() {
-    local p
-    for p in $(pgrep -f -- "${work}/" 2>/dev/null || true); do
-        [ "${p}" = "$$" ] || kill "${p}" 2>/dev/null || true
-    done
-    sleep 0.2
-    for p in $(pgrep -f -- "${work}/" 2>/dev/null || true); do
-        [ "${p}" = "$$" ] || kill -9 "${p}" 2>/dev/null || true
-    done
-    rm -f "${work}"/*.sock
-}
-trap cleanup EXIT INT TERM
+source "$(dirname "${BASH_SOURCE[0]}")/smoke_lib.sh"
+smoke_reap_on_exit "${work}"
 
 write_plan() { # <name> <ticks> [kill-spec] [restart-after]
     local name="$1" ticks="$2" kill_spec="${3:-}" restart="${4:-0}"

@@ -4,12 +4,12 @@
 #
 # Runs npsim with periodic crash-safe snapshots, SIGKILLs it mid-run,
 # resumes from the newest snapshot ('latest'), and requires every
-# artifact — telemetry CSV, control-plane log, metrics export, decision
-# trace, per-tick series — to be byte-identical to an uninterrupted
-# reference run. A second leg resumes at a different thread count (the
-# snapshot is thread-count independent), and a third corrupts the newest
-# snapshot to prove the fallback-and-warn path and the strict-resume
-# failure path.
+# artifact — telemetry CSV, control-plane log, cascade trace, metrics
+# export, decision trace, per-tick series — to be byte-identical to an
+# uninterrupted reference run. A second leg resumes at a different
+# thread count (the snapshot is thread-count independent), and a third
+# corrupts the newest snapshot to prove the fallback-and-warn path and
+# the strict-resume failure path.
 #
 # Usage:  tools/kill_resume_smoke.sh [npsim-binary] [workdir]
 #
@@ -37,7 +37,7 @@ common=(--scenario coordinated --ticks "${ticks}" --record-stride 2
         --log-level warn)
 faults=(--faults "${work}/faults.txt")
 
-artifacts=(record control-log metrics trace series)
+artifacts=(record control-log cascade metrics trace series)
 
 # Builds the full npsim command line into the global CMD array. The
 # background legs run "${CMD[@]}" & directly (a simple command, so $!
@@ -49,6 +49,7 @@ build_cmd() { # <prefix> <extra args...>
     CMD=("${npsim}" "${common[@]}"
          --record "${work}/${prefix}-record.csv"
          --control-log "${work}/${prefix}-control-log.csv"
+         --cascade "${work}/${prefix}-cascade.csv"
          --metrics "${work}/${prefix}-metrics.prom"
          --trace "${work}/${prefix}-trace.csv"
          --series "${work}/${prefix}-series.csv"
@@ -67,11 +68,18 @@ artifact_path() { # <prefix> <kind>
     esac
 }
 
+# The nps_rt_* metric families are wall-clock runtime histograms: not
+# checkpointed, and different on every run by construction, so they
+# stay out of the diff (series lines and # HELP/# TYPE headers both).
+comparable() { # <file>
+    grep -v -e '^nps_rt_' -e '^# .*nps_rt_' "$1" || true
+}
+
 diff_against_ref() { # <prefix>
     local kind
     for kind in "${artifacts[@]}"; do
-        diff "$(artifact_path ref "${kind}")" \
-            "$(artifact_path "$1" "${kind}")" \
+        diff <(comparable "$(artifact_path ref "${kind}")") \
+            <(comparable "$(artifact_path "$1" "${kind}")") \
             || { echo "FAIL: $1 ${kind} differs from reference" >&2
                  exit 1; }
     done
@@ -131,6 +139,7 @@ else
     if "${npsim}" "${common[@]}" --resume "${ckpt1}/${newest}" \
         --record "${work}/bad-record.csv" \
         --control-log "${work}/bad-control-log.csv" \
+        --cascade "${work}/bad-cascade.csv" \
         --metrics "${work}/bad-metrics.prom" \
         --trace "${work}/bad-trace.csv" \
         --series "${work}/bad-series.csv" 2>"${work}/bad-stderr.txt"; then

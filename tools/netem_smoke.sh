@@ -35,22 +35,8 @@ work="${2:-$(mktemp -d)}"
 mkdir -p "${work}"
 work="$(cd "${work}" && pwd)" # plans embed the socket path: absolute
 
-# Same sweep as dist_smoke.sh: every spawned process carries the
-# workdir on its command line, so reap by that — excluding this shell —
-# escalate to SIGKILL, then remove the listener sockets a failed leg
-# would otherwise leak into the next run.
-cleanup() {
-    local p
-    for p in $(pgrep -f -- "${work}/" 2>/dev/null || true); do
-        [ "${p}" = "$$" ] || kill "${p}" 2>/dev/null || true
-    done
-    sleep 0.2
-    for p in $(pgrep -f -- "${work}/" 2>/dev/null || true); do
-        [ "${p}" = "$$" ] || kill -9 "${p}" 2>/dev/null || true
-    done
-    rm -f "${work}"/*.sock
-}
-trap cleanup EXIT INT TERM
+source "$(dirname "${BASH_SOURCE[0]}")/smoke_lib.sh"
+smoke_reap_on_exit "${work}"
 
 write_plan() { # <name> <ticks> <netem-script> [deadline] [kill] [restart]
     local name="$1" ticks="$2" script="$3" deadline="${4:-0}"

@@ -25,6 +25,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <dirent.h>
@@ -35,7 +37,6 @@
 #include <sys/stat.h>
 #include <vector>
 
-#include "bus/cascade.h"
 #include "ckpt/atomic_io.h"
 #include "ckpt/snapshot.h"
 #include "core/config_io.h"
@@ -55,6 +56,7 @@
 #include "util/csv.h"
 #include "util/ini.h"
 #include "util/logging.h"
+#include "util/script.h"
 
 namespace {
 
@@ -133,7 +135,9 @@ usage()
         "                 (.json = JSON, anything else = Prometheus\n"
         "                 text exposition)\n"
         "  --cascade FILE  trace GM->EM->SM budget cascades and dump\n"
-        "                 the merged hop log as CSV\n"
+        "                 the trace-stamped view of the control-plane\n"
+        "                 log as CSV (checkpointed, so it survives\n"
+        "                 --resume)\n"
         "  --http SPEC    serve live observability endpoints while the\n"
         "                 run is in flight: GET /metrics, /metrics.json,\n"
         "                 /healthz and /profilez on SPEC (PORT, tcp:PORT\n"
@@ -194,6 +198,16 @@ parse(int argc, char **argv)
             util::fatal("%s needs a value", argv[i]);
         return argv[i + 1];
     };
+    // Numeric flags are strict: "abc", "20x" or "-1" is an error, not a
+    // silently wrapped or truncated value.
+    auto integer = [&](int i, uint64_t max) {
+        uint64_t v = 0;
+        if (!util::parseUnsigned(need(i), v) || v > max)
+            util::fatal("%s: bad value '%s' (want an integer in [0, %llu])",
+                        argv[i], argv[i + 1],
+                        static_cast<unsigned long long>(max));
+        return v;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--scenario")
@@ -205,15 +219,14 @@ parse(int argc, char **argv)
         else if (a == "--budgets")
             args.budgets = need(i), ++i;
         else if (a == "--ticks") {
-            args.ticks = std::strtoull(need(i), nullptr, 10);
+            args.ticks = integer(i, SIZE_MAX);
             args.ticks_set = true;
             ++i;
         }
         else if (a == "--seed")
-            args.seed = std::strtoull(need(i), nullptr, 10), ++i;
+            args.seed = integer(i, UINT64_MAX), ++i;
         else if (a == "--threads") {
-            args.threads = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            args.threads = static_cast<unsigned>(integer(i, UINT_MAX));
             args.threads_set = true;
             ++i;
         }
@@ -232,8 +245,8 @@ parse(int argc, char **argv)
         else if (a == "--http")
             args.http = need(i), ++i;
         else if (a == "--http-linger") {
-            args.http_linger_ms = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            args.http_linger_ms =
+                static_cast<unsigned>(integer(i, UINT_MAX));
             args.http_linger_set = true;
             ++i;
         }
@@ -263,14 +276,12 @@ parse(int argc, char **argv)
         else if (a == "--record")
             args.record_path = need(i), ++i;
         else if (a == "--record-stride") {
-            args.record_stride = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            args.record_stride = static_cast<unsigned>(integer(i, UINT_MAX));
             args.record_stride_set = true;
             ++i;
         }
         else if (a == "--checkpoint-every")
-            args.checkpoint_every = std::strtoull(need(i), nullptr, 10),
-            ++i;
+            args.checkpoint_every = integer(i, SIZE_MAX), ++i;
         else if (a == "--checkpoint-dir")
             args.checkpoint_dir = need(i), ++i;
         else if (a == "--resume")
@@ -616,11 +627,9 @@ main(int argc, char **argv)
                         "run did not log the control plane");
         if (!args.profile_path.empty())
             cfg.observability.profile = true; // wall clock only, no state
-        if (!args.cascade_path.empty())
-            util::fatal("--cascade cannot be combined with --resume: the "
-                        "cascade tracer's hop log is not checkpointed, "
-                        "so the CSV would silently miss every hop before "
-                        "the snapshot");
+        if (!args.cascade_path.empty() && !cfg.observability.cascade)
+            util::fatal("--cascade on resume, but the checkpointed run "
+                        "did not enable the cascade trace");
         if (!args.http.empty()) {
             // The live plane itself is stateless, but it serves the
             // metrics registry — which loadState only restores when the
@@ -952,13 +961,12 @@ main(int argc, char **argv)
         std::printf("\n");
     }
     if (!args.cascade_path.empty()) {
-        const bus::CascadeTracer *cascade = coordinator.cascadeTracer();
+        const bus::ControlPlaneLog *log = coordinator.controlLog();
         std::ostringstream out;
-        cascade->writeCsv(out);
+        log->writeCascadeCsv(out);
         ckpt::writeFileAtomic(args.cascade_path, out.str());
-        std::printf("cascade: wrote %zu hops on %zu links to %s\n",
-                    cascade->totalHops(), cascade->numLinks(),
-                    args.cascade_path.c_str());
+        std::printf("cascade: wrote %zu hops to %s\n",
+                    log->tracedEvents(), args.cascade_path.c_str());
     }
     if (!args.profile_path.empty()) {
         const obs::EngineProfiler *prof = coordinator.profiler();

@@ -38,29 +38,17 @@ work="${3:-$(mktemp -d)}"
 npsfetch="$(dirname "${npsim}")/npsfetch"
 mkdir -p "${work}"
 
-# Legs 2-5 background a daemon and a feeder; a failed diff, an early
-# exit under `set -e`, or an interrupt must not leave either process —
-# or any child they spawned — running, nor their listener sockets
-# behind (a leaked socket breaks the next run on the same path). Kill
-# the tracked pids first, then sweep anything that still carries the
-# workdir on its command line (daemon artifact paths, npsfeed --to,
-# npsfetch endpoints), excluding this shell, and escalate to SIGKILL.
+# Legs 2-5 background a daemon and a feeder: kill those tracked pids
+# first, then let the shared sweep reap anything else that names the
+# workdir (tools/smoke_lib.sh).
 daemon=""
 feeder=""
-cleanup() {
-    local p
+kill_tracked() {
     [ -n "${daemon}" ] && kill "${daemon}" 2>/dev/null || true
     [ -n "${feeder}" ] && kill "${feeder}" 2>/dev/null || true
-    for p in $(pgrep -f -- "${work}/" 2>/dev/null || true); do
-        [ "${p}" = "$$" ] || kill "${p}" 2>/dev/null || true
-    done
-    sleep 0.2
-    for p in $(pgrep -f -- "${work}/" 2>/dev/null || true); do
-        [ "${p}" = "$$" ] || kill -9 "${p}" 2>/dev/null || true
-    done
-    rm -f "${work}"/*.sock
 }
-trap cleanup EXIT INT TERM
+source "$(dirname "${BASH_SOURCE[0]}")/smoke_lib.sh"
+smoke_reap_on_exit "${work}" kill_tracked
 
 ticks=480
 mix=180
