@@ -43,9 +43,11 @@ namespace ckpt {
  * Snapshot container format version (bump on layout change). v2 added
  * the controllers' cascade trace context and made the metrics registry
  * skip runtime (nps_rt_*) families; v3 added the trace id to every
- * control-log event.
+ * control-log event; v4 replaced the per-server EC/SM actors in the
+ * engine roster with one kernel actor per kind (the ec/<i> and sm/<i>
+ * sections keep their bytes).
  */
-inline constexpr uint32_t kFormatVersion = 3;
+inline constexpr uint32_t kFormatVersion = 4;
 
 /**
  * CRC32 (IEEE 802.3 polynomial) of a byte range. Thin alias of

@@ -4,59 +4,36 @@
  *
  * The EC and SM are both integral controllers: the actuator moves by an
  * amount proportional to the current error, accumulating over time so the
- * steady-state error is driven to zero. The IntegralController here is the
- * reusable core: u(k) = clamp(u(k-1) + gain(k) * error(k)), where gain(k)
+ * steady-state error is driven to zero. integralStep() is the shared
+ * core: u(k) = clamp(u(k-1) + gain(k) * error(k), lo, hi), where gain(k)
  * may be supplied per step (the EC's gain is self-tuning; see Figure 6).
+ * Clamping every step is the anti-windup: a saturated actuator moves
+ * off its bound on the first error of the opposite sign.
  */
 
 #ifndef NPS_CONTROL_INTEGRAL_H
 #define NPS_CONTROL_INTEGRAL_H
 
+#include <algorithm>
+
 namespace nps {
 namespace ctl {
 
+/** Panics: an integral law with lo > hi. */
+[[noreturn]] void integralBadRange(double lo, double hi);
+
 /**
- * Clamped discrete-time integral control law.
+ * One step of the clamped integral law, inlined into the per-server
+ * kernels. @return clamp(value + gain * error, lo, hi); panics when
+ * lo > hi.
  */
-class IntegralController
+inline double
+integralStep(double value, double gain, double error, double lo, double hi)
 {
-  public:
-    /**
-     * @param initial Initial actuator value u(0).
-     * @param lo      Lower clamp for the actuator.
-     * @param hi      Upper clamp for the actuator.
-     */
-    IntegralController(double initial, double lo, double hi);
-
-    /** @return the current actuator value. */
-    double value() const { return value_; }
-
-    /** Force the actuator value (clamped). */
-    void setValue(double value);
-
-    /**
-     * Integrate one step: value += gain * error, then clamp.
-     * @return the new actuator value.
-     */
-    double update(double gain, double error);
-
-    /** @return lower clamp. */
-    double lo() const { return lo_; }
-
-    /** @return upper clamp. */
-    double hi() const { return hi_; }
-
-    /** Change the clamp range (re-clamps the current value). */
-    void setRange(double lo, double hi);
-
-    /** @return true when the current value sits on either clamp. */
-    bool saturated() const;
-
-  private:
-    double value_;
-    double lo_;
-    double hi_;
-};
+    if (lo > hi)
+        integralBadRange(lo, hi);
+    return std::min(hi, std::max(lo, value + gain * error));
+}
 
 } // namespace ctl
 } // namespace nps

@@ -65,6 +65,9 @@ GroupManager::GroupManager(sim::Cluster &cluster, long id,
     scope_ids_.reserve(all_servers_.size());
     for (const auto *sm : all_servers_)
         scope_ids_.push_back(sm->server().id());
+    standalone_ids_.reserve(standalone_.size());
+    for (const auto *sm : standalone_)
+        standalone_ids_.push_back(sm->server().id());
     track_server_ewmas_ = params_.mode == Mode::Uncoordinated;
     size_t n_children = child_demand_.size();
     if (params_.policy == DivisionPolicy::Priority &&
@@ -244,6 +247,16 @@ GroupManager::scopePower() const
     return sum;
 }
 
+double
+GroupManager::scopePower(size_t tick) const
+{
+    if (scope_tick_ != tick) {
+        scope_power_ = scopePower();
+        scope_tick_ = tick;
+    }
+    return scope_power_;
+}
+
 void
 GroupManager::restartCold(size_t tick)
 {
@@ -287,14 +300,14 @@ GroupManager::observe(size_t tick)
             restartCold(tick);
         }
     }
-    record(scopePower() > static_cap_ + 1e-9);
+    record(scopePower(tick) > static_cap_ + 1e-9);
 
     double a_short = 1.0 / params_.demand_horizon;
     double a_long = 1.0 / params_.history_horizon;
 
     size_t c = 0;
     for (auto *g : groups_) {
-        double p = g->scopePower();
+        double p = g->scopePower(tick);
         child_demand_[c] += a_short * (p - child_demand_[c]);
         child_history_[c] += a_long * (p - child_history_[c]);
         ++c;
@@ -305,8 +318,9 @@ GroupManager::observe(size_t tick)
         child_history_[c] += a_long * (p - child_history_[c]);
         ++c;
     }
-    for (auto *sm : standalone_) {
-        double p = sm->server().lastPower();
+    const std::vector<double> &power = cluster_.serverState().power;
+    for (sim::ServerId id : standalone_ids_) {
+        double p = power[id];
         child_demand_[c] += a_short * (p - child_demand_[c]);
         child_history_[c] += a_long * (p - child_history_[c]);
         ++c;
@@ -315,7 +329,6 @@ GroupManager::observe(size_t tick)
         // Uncoordinated mode only: the direct-to-server division needs
         // per-server estimates. Coordinated GMs never read these, so
         // they skip the O(scope) update (the vectors stay zero).
-        const std::vector<double> &power = cluster_.serverState().power;
         for (size_t i = 0; i < scope_ids_.size(); ++i) {
             double p = power[scope_ids_[i]];
             server_demand_[i] += a_short * (p - server_demand_[i]);
@@ -416,7 +429,7 @@ GroupManager::stepCoordinated(size_t tick)
     if (obs_cap_)
         obs_cap_->set(in.budget);
     if (obs_scope_power_)
-        obs_scope_power_->set(scopePower());
+        obs_scope_power_->set(scopePower(tick));
     if (obs_grants_) {
         for (double g : last_grants_)
             obs_grants_->observe(g);
@@ -427,7 +440,7 @@ GroupManager::stepCoordinated(size_t tick)
                          "%zu standalone grants; scope power %.6gW",
                          in.budget, policyName(params_.policy),
                          groups_.size(), enclosures_.size(),
-                         standalone_.size(), scopePower());
+                         standalone_.size(), scopePower(tick));
     }
     for (size_t slot = 0; slot < child_links_.size(); ++slot) {
         child_links_[slot]->setTraceStamp(trace_ctx_);
@@ -459,7 +472,7 @@ GroupManager::stepUncoordinated(size_t tick)
     if (obs_cap_)
         obs_cap_->set(in.budget);
     if (obs_scope_power_)
-        obs_scope_power_->set(scopePower());
+        obs_scope_power_->set(scopePower(tick));
     if (obs_grants_) {
         for (double g : last_grants_)
             obs_grants_->observe(g);
@@ -537,6 +550,7 @@ GroupManager::loadState(ckpt::SectionReader &r)
     trace_ctx_ = r.getU32();
     lease_expired_ = r.getBool();
     was_down_ = r.getBool();
+    scope_tick_ = kNoTick;
 }
 
 } // namespace controllers

@@ -167,6 +167,15 @@ class GroupManager : public sim::Actor, public ViolationTracker
     /** Total last-tick power of every server in this GM's scope. */
     double scopePower() const;
 
+    /**
+     * scopePower() as seen at tick @p tick, folded once per tick: the
+     * first call of a tick sums the scope and later calls — this GM's
+     * own observe and step, its parent's observe — reuse that sum. The
+     * server power array changes only in Cluster::evaluateTick, after
+     * every actor of the tick has run, so the memo is exact.
+     */
+    double scopePower(size_t tick) const;
+
     /** The SMs of every server in this GM's scope, in id order. */
     const std::vector<ServerManager *> &allServers() const
     {
@@ -270,6 +279,8 @@ class GroupManager : public sim::Actor, public ViolationTracker
      * values, identical fold order).
      */
     std::vector<sim::ServerId> scope_ids_;
+    /** Server ids of standalone_, read the same way each observe. */
+    std::vector<sim::ServerId> standalone_ids_;
     /**
      * Per-server demand estimates feed only the uncoordinated
      * direct-to-server division; coordinated GMs skip maintaining them
@@ -294,6 +305,10 @@ class GroupManager : public sim::Actor, public ViolationTracker
     const fault::FaultInjector *faults_ = nullptr;
     fault::DegradeStats degrade_;
     bool has_parent_ = false;
+    /** scopePower(tick) memo; kNoTick = empty. */
+    static constexpr size_t kNoTick = static_cast<size_t>(-1);
+    mutable size_t scope_tick_ = kNoTick;
+    mutable double scope_power_ = 0.0;
     size_t budget_tick_ = 0;     //!< receipt tick of the live grant
     uint32_t trace_ctx_ = 0;     //!< cascade trace context (see above)
     bool lease_expired_ = false; //!< edge detector for lease_expiries

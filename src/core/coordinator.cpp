@@ -103,28 +103,36 @@ Coordinator::buildServerLevel()
     sim::Cluster &cl = *cluster_;
     const fault::FaultInjector *inj = injector_.get();
 
-    // Innermost first: one EC per server.
+    // Innermost first: the EC of every server, one store slot per
+    // server (slot == id) run by one kernel actor; ecs_ holds the
+    // per-server views.
     if (config_.enable_ec) {
+        auto store = std::make_shared<controllers::EcStateSoA>(config_.ec);
+        store->faults = inj;
+        ecs_.reserve(cl.numServers());
         for (auto &srv : cl.servers()) {
-            auto ec = std::make_shared<controllers::EfficiencyController>(
-                srv, config_.ec);
-            ec->setFaultInjector(inj);
-            ecs_.push_back(ec);
-            engine_->addActor(ec);
+            ecs_.push_back(std::make_shared<controllers::EfficiencyController>(
+                store, store->add(srv)));
         }
+        engine_->addActor(
+            std::make_shared<controllers::EcKernel>("EC/fleet", store));
+        ec_store_ = std::move(store);
     }
 
-    // SMs nested on the ECs (or standalone direct cappers).
+    // SMs nested on the EC slots (or standalone direct cappers), the
+    // same way.
     if (config_.enable_sm) {
+        auto store = std::make_shared<controllers::SmStateSoA>(config_.sm);
+        store->faults = inj;
+        sms_.reserve(cl.numServers());
         for (auto &srv : cl.servers()) {
-            controllers::EfficiencyController *ec =
-                config_.enable_ec ? ecs_[srv.id()].get() : nullptr;
-            auto sm = std::make_shared<controllers::ServerManager>(
-                srv, ec, cl.capLoc(srv.id()), config_.sm);
-            sm->setFaultInjector(inj);
-            sms_.push_back(sm);
-            engine_->addActor(sm);
+            const uint32_t slot = store->add(srv, ec_store_.get(), srv.id(),
+                                             cl.capLoc(srv.id()));
+            sms_.push_back(
+                std::make_shared<controllers::ServerManager>(store, slot));
         }
+        engine_->addActor(
+            std::make_shared<controllers::SmKernel>("SM/fleet", store));
     }
 
     // Optional electrical cappers, parallel to the ECs.

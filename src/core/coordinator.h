@@ -137,7 +137,11 @@ class Coordinator
     /** The VMC, or nullptr when disabled. */
     const controllers::VmController *vmc() const { return vmc_.get(); }
 
-    /** The per-server ECs (empty when disabled), in server-id order. */
+    /**
+     * The per-server ECs (empty when disabled), in server-id order: views
+     * of one slot each of the fleet store the "EC/fleet" kernel actor
+     * runs. The SMs below are built the same way ("SM/fleet").
+     */
     const std::vector<std::shared_ptr<controllers::EfficiencyController>> &
     ecs() const
     {
@@ -305,6 +309,8 @@ class Coordinator
     sim::MetricsCollector metrics_;
     std::unique_ptr<sim::Engine> engine_;
     std::unique_ptr<bus::ControlPlaneLog> control_log_;
+    /** The fleet's EC state (null when ECs are disabled). */
+    std::shared_ptr<controllers::EcStateSoA> ec_store_;
     std::vector<std::shared_ptr<controllers::EfficiencyController>> ecs_;
     std::vector<std::shared_ptr<controllers::ServerManager>> sms_;
     std::vector<std::shared_ptr<controllers::EnclosureManager>> ems_;

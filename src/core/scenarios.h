@@ -53,8 +53,8 @@ CoordinationConfig baselineConfig();
  * (sim/fleetgen.h): VM migration off (the bin-packing consolidation pass
  * is cluster-global and O(VMs log VMs) per step — the scaling studies
  * measure the per-tick control plane, not placement search) and all
- * observation layers off so the hot path is what bench/macro_fleet
- * times.
+ * observation layers off so the hot path is what npsbench's
+ * fleet-100k workload times.
  */
 CoordinationConfig fleetConfig();
 

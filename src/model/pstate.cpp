@@ -42,27 +42,10 @@ PStateTable::PStateTable(std::vector<PState> states)
     }
 }
 
-const PState &
-PStateTable::at(size_t index) const
+void
+PStateTable::outOfRange(size_t index)
 {
-    if (index >= states_.size())
-        util::panic("PStateTable::at(%zu): out of range", index);
-    return states_[index];
-}
-
-size_t
-PStateTable::quantizeUp(double freq_mhz) const
-{
-    // States are sorted by decreasing frequency; find the slowest state
-    // that still provides at least freq_mhz.
-    size_t chosen = 0;
-    for (size_t i = 0; i < states_.size(); ++i) {
-        if (states_[i].freq_mhz >= freq_mhz)
-            chosen = i;
-        else
-            break;
-    }
-    return chosen;
+    util::panic("PStateTable::at(%zu): out of range", index);
 }
 
 size_t
@@ -78,12 +61,6 @@ PStateTable::quantizeNearest(double freq_mhz) const
         }
     }
     return best;
-}
-
-double
-PStateTable::relSpeed(size_t index) const
-{
-    return at(index).freq_mhz / fastest().freq_mhz;
 }
 
 PStateTable

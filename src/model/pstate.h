@@ -62,8 +62,14 @@ class PStateTable
     /** @return number of P-states. */
     size_t size() const { return states_.size(); }
 
-    /** @return the state at @p index. @pre index < size() */
-    const PState &at(size_t index) const;
+    /** @return the state at @p index. @pre index < size() (panics) */
+    const PState &
+    at(size_t index) const
+    {
+        if (index >= states_.size())
+            outOfRange(index);
+        return states_[index];
+    }
 
     /** @return P0, the highest-frequency state. */
     const PState &fastest() const { return states_.front(); }
@@ -80,13 +86,30 @@ class PStateTable
      * (i.e., rounds capacity up so demand can still be served); clamps to
      * the table's range.
      */
-    size_t quantizeUp(double freq_mhz) const;
+    size_t
+    quantizeUp(double freq_mhz) const
+    {
+        // States are sorted by decreasing frequency; find the slowest
+        // state that still provides at least freq_mhz.
+        size_t chosen = 0;
+        for (size_t i = 0; i < states_.size(); ++i) {
+            if (states_[i].freq_mhz >= freq_mhz)
+                chosen = i;
+            else
+                break;
+        }
+        return chosen;
+    }
 
     /** Quantize to the state with the nearest frequency. */
     size_t quantizeNearest(double freq_mhz) const;
 
     /** Relative throughput a_p = f_p / f_0 of state @p index. */
-    double relSpeed(size_t index) const;
+    double
+    relSpeed(size_t index) const
+    {
+        return at(index).freq_mhz / fastest().freq_mhz;
+    }
 
     /**
      * @return a reduced table containing only the states at the given
@@ -102,6 +125,8 @@ class PStateTable
     PStateTable extremesOnly() const;
 
   private:
+    [[noreturn]] static void outOfRange(size_t index);
+
     std::vector<PState> states_;
 };
 

@@ -27,16 +27,42 @@ EngineProfiler::setSchedule(std::vector<ActorInfo> actors, unsigned threads)
         same = actors[i].name == actors_[i].info.name &&
                actors[i].shard_key == actors_[i].info.shard_key;
     }
-    if (same)
+    if (same) {
+        // Same actors, possibly more workers: keep every lane's totals.
+        if (lanes_.size() < threads)
+            lanes_.resize(threads, std::vector<Lane>(actors_.size()));
         return;
+    }
     actors_.clear();
     actors_.resize(actors.size());
     for (size_t i = 0; i < actors.size(); ++i)
         actors_[i].info = std::move(actors[i]);
+    lanes_.assign(std::max(1u, threads),
+                  std::vector<Lane>(actors_.size()));
     evaluate_ns_ = 0;
     record_ns_ = 0;
     ticks_ = 0;
     wall_ns_ = 0;
+}
+
+const std::vector<EngineProfiler::ActorStats> &
+EngineProfiler::actorStats() const
+{
+    for (size_t i = 0; i < actors_.size(); ++i) {
+        ActorStats &a = actors_[i];
+        a.observe_calls = a.observe_ns = a.step_calls = a.step_ns = 0;
+        a.slot = 0;
+        for (size_t slot = 0; slot < lanes_.size(); ++slot) {
+            const Lane &l = lanes_[slot][i];
+            a.observe_calls += l.observe_calls;
+            a.observe_ns += l.observe_ns;
+            a.step_calls += l.step_calls;
+            a.step_ns += l.step_ns;
+            if (l.observe_calls + l.step_calls > 0)
+                a.slot = static_cast<unsigned>(slot);
+        }
+    }
+    return actors_;
 }
 
 void
@@ -63,7 +89,7 @@ EngineProfiler::writeTable(std::ostream &out) const
 {
     std::vector<const ActorStats *> order;
     order.reserve(actors_.size());
-    for (const auto &a : actors_)
+    for (const auto &a : actorStats())
         order.push_back(&a);
     std::sort(order.begin(), order.end(),
               [](const ActorStats *a, const ActorStats *b) {
@@ -130,6 +156,7 @@ EngineProfiler::writeJson(std::ostream &out) const
     out << "  \"phases\": {\"evaluate_ns\": " << evaluate_ns_
         << ", \"record_ns\": " << record_ns_ << "},\n";
     out << "  \"actors\": [\n";
+    actorStats();
     for (size_t i = 0; i < actors_.size(); ++i) {
         const ActorStats &a = actors_[i];
         out << "    {\"name\": " << util::jsonQuote(a.info.name)

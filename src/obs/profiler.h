@@ -53,7 +53,7 @@ class EngineProfiler
         std::uint64_t observe_ns = 0;
         std::uint64_t step_calls = 0;
         std::uint64_t step_ns = 0;
-        unsigned slot = 0; //!< worker slot that last ran the actor
+        unsigned slot = 0; //!< highest worker slot that ran the actor
     };
 
     using Clock = std::chrono::steady_clock;
@@ -74,22 +74,24 @@ class EngineProfiler
      */
     void setSchedule(std::vector<ActorInfo> actors, unsigned threads);
 
-    /** Record one observe() call of actor @p idx on worker @p slot. */
+    /**
+     * Record one observe() call of actor @p idx on worker @p slot. Each
+     * worker slot accumulates into its own lane, so a kernel actor
+     * timed on every shard at once is race-free; @pre slot < threads.
+     */
     void addObserve(size_t idx, std::uint64_t ns, unsigned slot)
     {
-        ActorStats &s = actors_[idx];
-        ++s.observe_calls;
-        s.observe_ns += ns;
-        s.slot = slot;
+        Lane &l = lanes_[slot][idx];
+        ++l.observe_calls;
+        l.observe_ns += ns;
     }
 
     /** Record one step() call of actor @p idx on worker @p slot. */
     void addStep(size_t idx, std::uint64_t ns, unsigned slot)
     {
-        ActorStats &s = actors_[idx];
-        ++s.step_calls;
-        s.step_ns += ns;
-        s.slot = slot;
+        Lane &l = lanes_[slot][idx];
+        ++l.step_calls;
+        l.step_ns += ns;
     }
 
     /** Accumulate one engine-level phase slice. */
@@ -105,7 +107,12 @@ class EngineProfiler
     size_t ticks() const { return ticks_; }
     std::uint64_t wallNs() const { return wall_ns_; }
     unsigned threads() const { return threads_; }
-    const std::vector<ActorStats> &actorStats() const { return actors_; }
+    /**
+     * Per-actor timings summed over the worker lanes; `slot` is the
+     * highest worker slot that ran the actor. Engine thread only, while
+     * no run is in flight.
+     */
+    const std::vector<ActorStats> &actorStats() const;
     std::uint64_t phaseNs(EnginePhase phase) const;
 
     /**
@@ -118,7 +125,19 @@ class EngineProfiler
     void writeJson(std::ostream &out) const;
 
   private:
-    std::vector<ActorStats> actors_;
+    /** One worker slot's accumulators for one actor. */
+    struct Lane
+    {
+        std::uint64_t observe_calls = 0;
+        std::uint64_t observe_ns = 0;
+        std::uint64_t step_calls = 0;
+        std::uint64_t step_ns = 0;
+    };
+
+    /** lanes_[slot][actor], sized by setSchedule(). */
+    std::vector<std::vector<Lane>> lanes_;
+    /** The folded view actorStats() returns. */
+    mutable std::vector<ActorStats> actors_;
     std::uint64_t evaluate_ns_ = 0;
     std::uint64_t record_ns_ = 0;
     size_t ticks_ = 0;

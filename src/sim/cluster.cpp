@@ -262,20 +262,30 @@ Cluster::evaluateTick(size_t tick, util::ThreadPool *pool)
 {
     // Phase 1: evaluate every server. Evaluations are independent (each
     // server reads and writes only itself and the disjoint set of VMs it
-    // hosts), so they fan out across contiguous server shards.
-    if (pool != nullptr && pool->size() > 1 && servers_.size() > 1) {
-        const size_t shards = pool->size();
-        const size_t block = (servers_.size() + shards - 1) / shards;
-        pool->parallelFor(shards, [&](size_t s) {
-            size_t lo = s * block;
-            size_t hi = std::min(lo + block, servers_.size());
-            for (size_t i = lo; i < hi; ++i)
-                servers_[i].evaluate(tick, vms_);
-        });
-    } else {
-        for (auto &srv : servers_)
-            srv.evaluate(tick, vms_);
-    }
+    // hosts), so they fan out across contiguous server shards. Each shard
+    // also counts its SM-level budget violations (live servers over
+    // CAP_LOC), so the metrics pass needs no per-server walk.
+    const size_t n = servers_.size();
+    const bool parallel = pool != nullptr && pool->size() > 1 && n > 1;
+    const size_t shards = parallel ? pool->size() : 1;
+    const util::ShardRange range(n, shards);
+    const ServerStateSoA &st = *server_store_;
+    shard_counts_.assign(shards, {0, 0});
+    auto evaluateShard = [&](size_t s) {
+        size_t live = 0, over = 0;
+        for (size_t i = range.lo(s); i < range.hi(s); ++i) {
+            servers_[i].evaluate(tick, vms_);
+            if (servers_[i].platformPower(tick) == PlatformPower::Off)
+                continue;
+            ++live;
+            over += st.power[i] > cap_loc_[i] + kBudgetSlack ? 1 : 0;
+        }
+        shard_counts_[s] = {live, over};
+    };
+    if (parallel)
+        pool->parallelFor(shards, evaluateShard);
+    else
+        evaluateShard(0);
 
     // Phase 2: aggregate serially, in server-id order, on the calling
     // thread — the identical left-fold either way, so parallel and
@@ -291,7 +301,12 @@ Cluster::evaluateTick(size_t tick, util::ThreadPool *pool)
     else
         std::fill(last_.enclosure_power.begin(),
                   last_.enclosure_power.end(), 0.0);
-    const ServerStateSoA &st = *server_store_;
+    last_.live_servers = 0;
+    last_.over_cap_loc = 0;
+    for (const auto &c : shard_counts_) {
+        last_.live_servers += c.first;
+        last_.over_cap_loc += c.second;
+    }
     for (size_t i = 0; i < servers_.size(); ++i) {
         last_.total_power += st.power[i];
         last_.demanded_useful += st.demanded_useful[i];

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/machine.h"
@@ -58,6 +59,10 @@ struct ClusterTick
     std::vector<double> enclosure_power; //!< per-enclosure power
     double demanded_useful = 0.0;        //!< useful work requested
     double served_useful = 0.0;          //!< useful work delivered
+    /** Servers not powered off (the SM-level violation denominator). */
+    size_t live_servers = 0;
+    /** Live servers over their CAP_LOC (plus Cluster::kBudgetSlack). */
+    size_t over_cap_loc = 0;
 };
 
 /**
@@ -190,13 +195,21 @@ class Cluster
     /// @{
 
     /**
+     * Tolerance so borderline arithmetic noise does not count as a
+     * violation of the physical budgets.
+     */
+    static constexpr double kBudgetSlack = 1e-9;
+
+    /**
      * Serve one tick on every server and aggregate. Also retained as
      * lastTick().
      *
      * When @p pool is non-null, the per-server evaluations (which are
      * independent: each touches only its own server and its hosted VMs)
-     * fan out across contiguous server shards; the aggregation is always
-     * a serial fold over servers in id order, so the result is
+     * fan out across contiguous server shards (util::ShardRange), each
+     * shard also counting its live and over-CAP_LOC servers; the power
+     * aggregation is always a serial fold over servers in id order and
+     * the counts are summed in shard order, so the result is
      * bit-identical for any pool size, including none.
      */
     const ClusterTick &evaluateTick(size_t tick,
@@ -268,6 +281,8 @@ class Cluster
     double alpha_v_;
     double alpha_m_;
     ClusterTick last_;
+    /** Per-shard (live, over-cap) counts of the tick being evaluated. */
+    std::vector<std::pair<size_t, size_t>> shard_counts_;
 
     // Static caps, cached at construction (specs are immutable). The
     // cached values are computed with exactly the arithmetic the

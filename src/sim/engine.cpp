@@ -80,20 +80,27 @@ Engine::preparePlan()
     // behaviour-preserving.
     raw_.resize(actors_.size());
     period_.resize(actors_.size());
+    kernel_.resize(actors_.size());
     for (size_t i = 0; i < actors_.size(); ++i) {
         raw_[i] = actors_[i].get();
         period_[i] = actors_[i]->period();
+        kernel_[i] = raw_[i]->shardKey() == Actor::kKernelShard;
     }
 
     // Static shard assignment: contiguous server-id blocks, one per
-    // worker. Keys beyond the server count land in the last shard.
+    // worker. Keys beyond the server count land in the last shard; a
+    // kernel joins every shard and runs over that shard's block.
     // Shardable runs are flattened shard-major so each worker walks one
     // contiguous slice of indices per tick.
     plan_.clear();
     const size_t shards = threads_;
-    const size_t servers = cluster_.numServers();
-    const size_t block =
-        std::max<size_t>(1, (servers + shards - 1) / shards);
+    const util::ShardRange range(cluster_.numServers(), shards);
+    shard_lo_.resize(shards);
+    shard_hi_.resize(shards);
+    for (size_t s = 0; s < shards; ++s) {
+        shard_lo_[s] = range.lo(s);
+        shard_hi_[s] = range.hi(s);
+    }
     std::vector<std::vector<size_t>> scratch;
     auto flush = [&]() {
         if (scratch.empty())
@@ -116,6 +123,13 @@ Engine::preparePlan()
     };
     for (size_t i = 0; i < actors_.size(); ++i) {
         long key = raw_[i]->shardKey();
+        if (kernel_[i]) {
+            if (scratch.empty())
+                scratch.resize(shards);
+            for (auto &list : scratch)
+                list.push_back(i);
+            continue;
+        }
         if (key < 0) {
             flush();
             Segment seg;
@@ -126,9 +140,7 @@ Engine::preparePlan()
         }
         if (scratch.empty())
             scratch.resize(shards);
-        size_t shard = std::min(static_cast<size_t>(key) / block,
-                                shards - 1);
-        scratch[shard].push_back(i);
+        scratch[range.shardOf(static_cast<size_t>(key))].push_back(i);
     }
     flush();
     plan_dirty_ = false;
@@ -184,7 +196,7 @@ Engine::runParallel(size_t ticks)
             }
             pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
                 for (size_t k = seg.begin[s]; k < seg.begin[s + 1]; ++k)
-                    raw_[seg.flat[k]]->observe(tick);
+                    observeIn(seg.flat[k], tick, s);
             });
         }
         if (tick > 0) {
@@ -204,7 +216,7 @@ Engine::runParallel(size_t ticks)
                          ++k) {
                         size_t idx = seg.flat[k];
                         if (tick % period_[idx] == 0)
-                            raw_[idx]->step(tick);
+                            stepIn(idx, tick, s);
                     }
                 });
             }
@@ -306,7 +318,7 @@ Engine::runParallelProfiled(size_t ticks)
                 for (size_t k = seg.begin[s]; k < seg.begin[s + 1]; ++k) {
                     size_t idx = seg.flat[k];
                     Clock::time_point t0 = Clock::now();
-                    raw_[idx]->observe(tick);
+                    observeIn(idx, tick, s);
                     prof.addObserve(idx, obs::EngineProfiler::sinceNs(t0),
                                     static_cast<unsigned>(s));
                 }
@@ -332,7 +344,7 @@ Engine::runParallelProfiled(size_t ticks)
                         if (tick % period_[idx] != 0)
                             continue;
                         Clock::time_point t0 = Clock::now();
-                        raw_[idx]->step(tick);
+                        stepIn(idx, tick, s);
                         prof.addStep(idx,
                                      obs::EngineProfiler::sinceNs(t0),
                                      static_cast<unsigned>(s));

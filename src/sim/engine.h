@@ -15,18 +15,21 @@
  * tick, so every loop starts from a real observation.
  *
  * Parallel execution (docs/PARALLELISM.md): actors declare themselves
- * *shardable* (per-server state only, keyed by server id) or *global*
+ * *shardable* (per-server state only, keyed by server id), *kernels*
+ * (one actor running a per-server loop over every server) or *global*
  * (cross-server reads/writes) via Actor::shardKey(). The engine fans
- * contiguous runs of shardable actors — and the per-server part of the
- * cluster evaluation — across a worker pool using static, contiguous
- * server shards, with a barrier before every global actor and before
- * metrics recording. Results are bit-identical to the serial engine for
- * any thread count.
+ * contiguous runs of shardable and kernel actors — and the per-server
+ * part of the cluster evaluation — across a worker pool using static,
+ * contiguous server shards, with a barrier before every global actor
+ * and before metrics recording. Results are bit-identical to the serial
+ * engine for any thread count.
  */
 
 #ifndef NPS_SIM_ENGINE_H
 #define NPS_SIM_ENGINE_H
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -56,6 +59,9 @@ class Actor
     /** shardKey() value of a global (non-shardable) actor. */
     static constexpr long kGlobalShard = -1;
 
+    /** shardKey() value of a kernel actor (see stepSlots()). */
+    static constexpr long kKernelShard = -2;
+
     virtual ~Actor() = default;
 
     /** Diagnostic name. */
@@ -74,7 +80,8 @@ class Actor
      * RNG. Return kGlobalShard (the default) for anything that reads or
      * writes cross-server state; global actors always run on the engine
      * thread, with a barrier separating them from neighbouring shardable
-     * work.
+     * work. Return kKernelShard for a kernel actor: one actor that holds
+     * a per-server loop for every server (observeSlots()/stepSlots()).
      */
     virtual long shardKey() const { return kGlobalShard; }
 
@@ -86,6 +93,77 @@ class Actor
 
     /** One control step at @p tick. */
     virtual void step(size_t tick) = 0;
+
+    /**
+     * Kernel actors only (shardKey() == kKernelShard): observe / step the
+     * per-server slots [lo, hi) at @p tick. The parallel engine calls a
+     * kernel once per shard with that shard's server block
+     * (util::ShardRange over the cluster's servers), inside the same
+     * parallelFor and at the same schedule position as the per-server
+     * actors of its segment; the serial engine calls observe()/step(),
+     * which must cover every slot. A slot may touch only state owned by
+     * its server, exactly like a shardable actor.
+     */
+    virtual void
+    observeSlots(size_t tick, size_t lo, size_t hi)
+    {
+        (void)tick;
+        (void)lo;
+        (void)hi;
+    }
+
+    /** Kernel actors only: one control step of slots [lo, hi). */
+    virtual void
+    stepSlots(size_t tick, size_t lo, size_t hi)
+    {
+        (void)tick;
+        (void)lo;
+        (void)hi;
+    }
+};
+
+/**
+ * The kernel actor of one per-server controller kind: a named, periodic
+ * actor over a struct-of-arrays @p Store whose slot i is server i. The
+ * store supplies `size()`, `period()`, and the range loops
+ * `observe(tick, lo, hi)` / `step(tick, lo, hi)`.
+ */
+template <class Store>
+class KernelActor : public Actor
+{
+  public:
+    KernelActor(std::string name, std::shared_ptr<Store> store)
+        : name_(std::move(name)), store_(std::move(store))
+    {
+    }
+
+    const std::string &name() const override { return name_; }
+    unsigned period() const override { return store_->period(); }
+    long shardKey() const override { return kKernelShard; }
+
+    void
+    observe(size_t tick) override
+    {
+        store_->observe(tick, 0, store_->size());
+    }
+
+    void step(size_t tick) override { store_->step(tick, 0, store_->size()); }
+
+    void
+    observeSlots(size_t tick, size_t lo, size_t hi) override
+    {
+        store_->observe(tick, lo, std::min(hi, store_->size()));
+    }
+
+    void
+    stepSlots(size_t tick, size_t lo, size_t hi) override
+    {
+        store_->step(tick, lo, std::min(hi, store_->size()));
+    }
+
+  private:
+    std::string name_;
+    std::shared_ptr<Store> store_;
 };
 
 /**
@@ -253,10 +331,11 @@ class Engine
      * actors in the sorted order. A global segment holds exactly one
      * actor. A shardable segment holds the actor indices partitioned by
      * shard in one flat array (shard-major, each shard's slice in
-     * schedule order) with an offsets table — workers walk a contiguous
-     * index range instead of chasing a vector-of-vectors, and `fire`
-     * (the distinct periods present in the segment) lets the step phase
-     * skip the whole dispatch on ticks where no member fires.
+     * schedule order; a kernel actor appears once in every shard's
+     * slice) with an offsets table — workers walk a contiguous index
+     * range instead of chasing a vector-of-vectors, and `fire` (the
+     * distinct periods present in the segment) lets the step phase skip
+     * the whole dispatch on ticks where no member fires.
      */
     struct Segment
     {
@@ -268,6 +347,26 @@ class Engine
     };
 
     void preparePlan();
+
+    /** Observe / step actor @p idx as a member of shard @p s. */
+    void
+    observeIn(size_t idx, size_t tick, size_t s)
+    {
+        if (kernel_[idx])
+            raw_[idx]->observeSlots(tick, shard_lo_[s], shard_hi_[s]);
+        else
+            raw_[idx]->observe(tick);
+    }
+
+    void
+    stepIn(size_t idx, size_t tick, size_t s)
+    {
+        if (kernel_[idx])
+            raw_[idx]->stepSlots(tick, shard_lo_[s], shard_hi_[s]);
+        else
+            raw_[idx]->step(tick);
+    }
+
     size_t runSerial(size_t ticks);
     size_t runParallel(size_t ticks);
     size_t runSerialProfiled(size_t ticks);
@@ -278,8 +377,9 @@ class Engine
     MetricsCollector &metrics_;
     std::vector<std::shared_ptr<Actor>> actors_;
     // name -> current slot in actors_, so the replace-by-name path of
-    // addActor stays O(1) at fleet scale (hundreds of thousands of
-    // registrations). Rebuilt after the schedule sort moves slots.
+    // addActor stays O(1) when per-server actors (cappers, memory
+    // managers) are registered at fleet scale. Rebuilt after the
+    // schedule sort moves slots.
     std::unordered_map<std::string, size_t> slot_of_;
     size_t now_ = 0;
 
@@ -293,6 +393,10 @@ class Engine
     // setThreads invalidate).
     std::vector<Actor *> raw_;
     std::vector<unsigned> period_;
+    std::vector<uint8_t> kernel_; //!< 1 for kernel actors
+    // Each shard's server block [lo, hi), handed to kernel actors.
+    std::vector<size_t> shard_lo_;
+    std::vector<size_t> shard_hi_;
     bool plan_dirty_ = true;
     obs::EngineProfiler *profiler_ = nullptr;
     TickSource *source_ = nullptr;

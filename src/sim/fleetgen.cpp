@@ -85,12 +85,9 @@ FleetGen::traces(util::ThreadPool *pool) const
 
     std::vector<std::optional<trace::UtilizationTrace>> slots(count);
     if (pool != nullptr && pool->size() > 1 && count > 1) {
-        const size_t shards = pool->size();
-        const size_t block = (count + shards - 1) / shards;
-        pool->parallelFor(shards, [&](size_t s) {
-            size_t lo = s * block;
-            size_t hi = std::min(lo + block, count);
-            for (size_t vm = lo; vm < hi; ++vm)
+        const util::ShardRange range(count, pool->size());
+        pool->parallelFor(pool->size(), [&](size_t s) {
+            for (size_t vm = range.lo(s); vm < range.hi(s); ++vm)
                 slots[vm] = makeOne(vm);
         });
     } else {

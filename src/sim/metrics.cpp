@@ -30,18 +30,13 @@ MetricsCollector::record(const Cluster &cluster, size_t tick)
     demanded_ += ct.demanded_useful;
     served_ += ct.served_useful;
 
-    // Tolerance so borderline arithmetic noise does not count as a
-    // violation of the physical budgets.
-    constexpr double kSlack = 1e-9;
+    (void)tick;
+    constexpr double kSlack = Cluster::kBudgetSlack;
 
-    for (const auto &srv : cluster.servers()) {
-        // Powered-off machines trivially comply; count only live ones so
-        // the metric reflects capping quality, not fleet size.
-        if (srv.platformPower(tick) == PlatformPower::Off)
-            continue;
-        sm_violations_.record(srv.lastPower() >
-                              cluster.capLoc(srv.id()) + kSlack);
-    }
+    // Powered-off machines trivially comply, so only live ones count and
+    // the metric reflects capping quality, not fleet size. The per-server
+    // test ran in evaluateTick's parallel phase.
+    sm_violations_.add(ct.live_servers, ct.over_cap_loc);
     for (const auto &enc : cluster.enclosures()) {
         em_violations_.record(cluster.lastEnclosurePower(enc.id()) >
                               cluster.capEnc(enc.id()) + kSlack);

@@ -54,7 +54,11 @@ class MetricsCollector
      */
     explicit MetricsCollector(bool keep_series = false);
 
-    /** Record one evaluated tick of @p cluster. */
+    /**
+     * Record tick @p tick of @p cluster, which must have just been
+     * evaluated: everything is read from cluster.lastTick(), including
+     * the SM-level violation counts evaluateTick gathered per shard.
+     */
     void record(const Cluster &cluster, size_t tick);
 
     /** @return the aggregate summary so far. */

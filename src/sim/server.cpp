@@ -50,22 +50,6 @@ Server::removeVm(VmId vm)
     vms_.erase(it);
 }
 
-PlatformPower
-Server::platformPower(size_t tick) const
-{
-    const PlatformPower state = powerState();
-    if (state == PlatformPower::Booting &&
-        tick >= store_->boot_done_tick[slot_])
-        return PlatformPower::On;
-    return state;
-}
-
-bool
-Server::isOn(size_t tick) const
-{
-    return platformPower(tick) == PlatformPower::On;
-}
-
 void
 Server::powerOff()
 {
@@ -86,17 +70,9 @@ Server::powerOn(size_t tick)
 }
 
 void
-Server::setPState(size_t p)
+Server::badPState(size_t p) const
 {
-    if (p >= spec_->pstates().size())
-        util::panic("Server %u: P-state %zu out of range", id_, p);
-    store_->pstate[slot_] = static_cast<uint32_t>(p);
-}
-
-double
-Server::frequencyMhz() const
-{
-    return spec_->pstates().at(pstate()).freq_mhz;
+    util::panic("Server %u: P-state %zu out of range", id_, p);
 }
 
 ServerTick

@@ -100,10 +100,21 @@ class Server
     /// @{
 
     /** @return the platform power state as of @p tick (resolves boot). */
-    PlatformPower platformPower(size_t tick) const;
+    PlatformPower
+    platformPower(size_t tick) const
+    {
+        const PlatformPower state = powerState();
+        if (state == PlatformPower::Booting &&
+            tick >= store_->boot_done_tick[slot_])
+            return PlatformPower::On;
+        return state;
+    }
 
     /** @return true when serving at @p tick. */
-    bool isOn(size_t tick) const;
+    bool isOn(size_t tick) const
+    {
+        return platformPower(tick) == PlatformPower::On;
+    }
 
     /**
      * Power the platform off. @pre no hosted VMs (powering off a loaded
@@ -125,11 +136,20 @@ class Server
     /** Current P-state index. */
     size_t pstate() const { return store_->pstate[slot_]; }
 
-    /** Set the P-state index. @pre valid index */
-    void setPState(size_t p);
+    /** Set the P-state index. @pre valid index (panics otherwise) */
+    void
+    setPState(size_t p)
+    {
+        if (p >= spec_->pstates().size())
+            badPState(p);
+        store_->pstate[slot_] = static_cast<uint32_t>(p);
+    }
 
     /** Clock frequency (MHz) of the current P-state. */
-    double frequencyMhz() const;
+    double frequencyMhz() const
+    {
+        return spec_->pstates().at(pstate()).freq_mhz;
+    }
 
     /// @}
     /// @name Auxiliary (memory) power actuator — MIMO extension hook
@@ -226,6 +246,8 @@ class Server
     static constexpr double kMemCapacityCost = 0.05;
 
   private:
+    [[noreturn]] void badPState(size_t p) const;
+
     /** Publish a tick result into the store's sensor arrays. */
     void
     commit(const ServerTick &t)

@@ -1,6 +1,7 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -21,42 +22,77 @@ workloadClassName(WorkloadClass wc)
     return "?";
 }
 
+namespace {
+
+const std::shared_ptr<const std::vector<double>> &
+emptySamples()
+{
+    static const auto empty = std::make_shared<const std::vector<double>>();
+    return empty;
+}
+
+} // namespace
+
+UtilizationTrace::UtilizationTrace() : samples_(emptySamples()) {}
+
 UtilizationTrace::UtilizationTrace(std::string name, WorkloadClass wc,
                                    std::vector<double> samples)
-    : name_(std::move(name)), class_(wc), samples_(std::move(samples))
+    : name_(std::move(name)), class_(wc),
+      samples_(std::make_shared<const std::vector<double>>(
+          std::move(samples))),
+      data_(samples_->data()), size_(samples_->size())
 {
-    for (double s : samples_) {
+    for (double s : *samples_) {
         if (s < 0.0)
             util::fatal("UtilizationTrace %s: negative demand sample",
                         name_.c_str());
     }
 }
 
-double
-UtilizationTrace::at(size_t tick) const
+UtilizationTrace::UtilizationTrace(UtilizationTrace &&other) noexcept
+    : name_(std::move(other.name_)), class_(other.class_),
+      samples_(std::exchange(other.samples_, emptySamples())),
+      data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0))
 {
-    if (samples_.empty())
-        util::panic("UtilizationTrace::at on empty trace");
-    return samples_[tick % samples_.size()];
+}
+
+UtilizationTrace &
+UtilizationTrace::operator=(UtilizationTrace &&other) noexcept
+{
+    if (this != &other) {
+        name_ = std::move(other.name_);
+        class_ = other.class_;
+        samples_ = std::exchange(other.samples_, emptySamples());
+        data_ = std::exchange(other.data_, nullptr);
+        size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+}
+
+void
+UtilizationTrace::emptyPanic()
+{
+    util::panic("UtilizationTrace::at on empty trace");
 }
 
 double
 UtilizationTrace::mean() const
 {
-    if (samples_.empty())
+    if (empty())
         return 0.0;
     double sum = 0.0;
-    for (double s : samples_)
+    for (double s : *samples_)
         sum += s;
-    return sum / static_cast<double>(samples_.size());
+    return sum / static_cast<double>(size_);
 }
 
 double
 UtilizationTrace::peak() const
 {
-    if (samples_.empty())
+    if (empty())
         return 0.0;
-    return *std::max_element(samples_.begin(), samples_.end());
+    return *std::max_element(samples_->begin(), samples_->end());
 }
 
 UtilizationTrace
@@ -64,7 +100,7 @@ UtilizationTrace::scaled(double factor) const
 {
     if (factor < 0.0)
         util::fatal("UtilizationTrace::scaled: negative factor");
-    std::vector<double> out(samples_);
+    std::vector<double> out(*samples_);
     for (double &s : out)
         s *= factor;
     return UtilizationTrace(name_ + "-x" + std::to_string(factor), class_,

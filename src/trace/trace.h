@@ -13,6 +13,7 @@
 #define NPS_TRACE_TRACE_H
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,12 +39,15 @@ inline constexpr size_t kNumWorkloadClasses = 6;
 
 /**
  * One server's demand series plus its provenance metadata.
+ *
+ * The samples are immutable and shared: copying a trace (a Cluster
+ * copies every workload into its VMs) copies a pointer, not the series.
  */
 class UtilizationTrace
 {
   public:
     /** Construct an empty, unnamed trace. */
-    UtilizationTrace() = default;
+    UtilizationTrace();
 
     /**
      * @param name    Trace identifier (e.g. "site3/srv07-web").
@@ -53,6 +57,13 @@ class UtilizationTrace
     UtilizationTrace(std::string name, WorkloadClass wc,
                      std::vector<double> samples);
 
+    UtilizationTrace(const UtilizationTrace &) = default;
+    UtilizationTrace &operator=(const UtilizationTrace &) = default;
+
+    /** Moves leave @p other an empty trace (at() panics, as before). */
+    UtilizationTrace(UtilizationTrace &&other) noexcept;
+    UtilizationTrace &operator=(UtilizationTrace &&other) noexcept;
+
     /** @return trace identifier. */
     const std::string &name() const { return name_; }
 
@@ -60,19 +71,25 @@ class UtilizationTrace
     WorkloadClass workloadClass() const { return class_; }
 
     /** @return number of samples. */
-    size_t length() const { return samples_.size(); }
+    size_t length() const { return size_; }
 
     /** @return true when the trace holds no samples. */
-    bool empty() const { return samples_.empty(); }
+    bool empty() const { return size_ == 0; }
 
     /**
      * Demand at @p tick; ticks beyond the end wrap around so simulations
      * may run longer than the recorded trace. @pre !empty()
      */
-    double at(size_t tick) const;
+    double
+    at(size_t tick) const
+    {
+        if (size_ == 0)
+            emptyPanic();
+        return data_[tick % size_];
+    }
 
     /** Raw sample vector. */
-    const std::vector<double> &samples() const { return samples_; }
+    const std::vector<double> &samples() const { return *samples_; }
 
     /** Mean demand over the whole trace (0 when empty). */
     double mean() const;
@@ -96,9 +113,15 @@ class UtilizationTrace
                                   const std::string &name);
 
   private:
+    [[noreturn]] static void emptyPanic();
+
     std::string name_;
     WorkloadClass class_ = WorkloadClass::WebServer;
-    std::vector<double> samples_;
+    /** The shared series; never null (empty traces share one). */
+    std::shared_ptr<const std::vector<double>> samples_;
+    /** samples_->data() and size(), cached so at() is one load. */
+    const double *data_ = nullptr;
+    size_t size_ = 0;
 };
 
 } // namespace trace

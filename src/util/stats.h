@@ -80,6 +80,14 @@ class RateCounter
             ++hits_;
     }
 
+    /** Record @p total events at once, @p hits of them hits. */
+    void
+    add(size_t total, size_t hits)
+    {
+        total_ += total;
+        hits_ += hits;
+    }
+
     /** @return number of recorded events. */
     size_t total() const { return total_; }
 

@@ -28,6 +28,54 @@ namespace nps {
 namespace util {
 
 /**
+ * The static partition every sharded phase uses: @p items split into
+ * @p shards contiguous blocks of ceil(items / shards) (at least 1), the
+ * last block short. Every phase of a tick — the engine's per-server
+ * actors and kernels, Cluster::evaluateTick, FleetGen's trace fill —
+ * partitions with this one helper, so a worker touches the same items
+ * in every phase.
+ */
+class ShardRange
+{
+  public:
+    /** @pre shards >= 1 */
+    ShardRange(size_t items, size_t shards)
+        : items_(items), shards_(shards),
+          block_(items > shards ? (items + shards - 1) / shards : 1)
+    {
+    }
+
+    /** First item of shard @p s (== items() for an empty shard). */
+    size_t
+    lo(size_t s) const
+    {
+        const size_t l = s * block_;
+        return l < items_ ? l : items_;
+    }
+
+    /** One past the last item of shard @p s. */
+    size_t
+    hi(size_t s) const
+    {
+        const size_t h = (s + 1) * block_;
+        return h < items_ ? h : items_;
+    }
+
+    /** The shard owning @p item; items past the end go to the last. */
+    size_t
+    shardOf(size_t item) const
+    {
+        const size_t s = item / block_;
+        return s < shards_ ? s : shards_ - 1;
+    }
+
+  private:
+    size_t items_;
+    size_t shards_;
+    size_t block_;
+};
+
+/**
  * Fixed-size fork/join worker pool.
  */
 class ThreadPool

@@ -30,8 +30,9 @@ TEST(Coordinator, CoordinatedStackComplete)
     EXPECT_EQ(c.ems().size(), 1u);
     EXPECT_NE(c.gm(), nullptr);
     EXPECT_NE(c.vmc(), nullptr);
-    // 6 EC + 6 SM + 1 EM + 1 GM + 1 VMC actors.
-    EXPECT_EQ(c.engine().actors().size(), 15u);
+    // EC and SM kernels (one actor each for all 6 servers) + 1 EM +
+    // 1 GM + 1 VMC.
+    EXPECT_EQ(c.engine().actors().size(), 5u);
 }
 
 TEST(Coordinator, BaselineStackEmpty)
@@ -63,8 +64,8 @@ TEST(Coordinator, CapStackAddsCappers)
     cfg.enable_cap = true;
     Coordinator c(cfg, smallTopo(), model::bladeA(),
                   nps_test::flatTraces(6, 0.3, 32));
-    // 15 actors + 6 electrical cappers.
-    EXPECT_EQ(c.engine().actors().size(), 21u);
+    // 5 actors + 6 electrical cappers.
+    EXPECT_EQ(c.engine().actors().size(), 11u);
     EXPECT_EQ(c.caps().size(), 6u);
 }
 
@@ -75,7 +76,7 @@ TEST(Coordinator, MemStackAddsMemoryManagers)
     Coordinator c(cfg, smallTopo(), model::bladeA(),
                   nps_test::flatTraces(6, 0.2, 64));
     EXPECT_EQ(c.mems().size(), 6u);
-    EXPECT_EQ(c.engine().actors().size(), 21u);
+    EXPECT_EQ(c.engine().actors().size(), 11u);
     c.run(200);
     // At 22% load every server is quiet: the managers engage.
     unsigned long engaged = 0;

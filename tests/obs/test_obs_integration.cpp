@@ -160,8 +160,9 @@ TEST(ObsIntegration, ProfilerCoversTheRun)
 {
     RunOutputs on = runCoordinated(4, true);
     EXPECT_EQ(on.profiled_ticks, kTicks);
-    // Mid60: 60 servers -> EC/SM/CAP/MM per server plus EM/GM/VMC.
-    EXPECT_GT(on.profiled_actors, 60u);
+    // Mid60: the EC and SM kernels (one actor each for all 60
+    // servers), two EMs, the GM and the VMC.
+    EXPECT_EQ(on.profiled_actors, 6u);
 }
 
 TEST(ObsIntegration, TraceFilterRestrictsChannels)

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/fixtures.h"
@@ -285,6 +288,65 @@ TEST_F(EngineTest, ZeroPeriodDies)
 {
     auto a = std::make_shared<ProbeActor>("z", 0, &log_);
     EXPECT_DEATH(engine_.addActor(a), "zero period");
+}
+
+/** A toy kernel store: per-slot call counts plus the ranges it ran. */
+struct CountingStore
+{
+    explicit CountingStore(size_t n) : observed(n, 0), stepped(n, 0) {}
+
+    size_t size() const { return stepped.size(); }
+    unsigned period() const { return 2; }
+
+    void
+    observe(size_t tick, size_t lo, size_t hi)
+    {
+        (void)tick;
+        for (size_t i = lo; i < hi; ++i)
+            ++observed[i];
+    }
+
+    void
+    step(size_t tick, size_t lo, size_t hi)
+    {
+        (void)tick;
+        for (size_t i = lo; i < hi; ++i)
+            ++stepped[i];
+        std::lock_guard<std::mutex> lock(mutex);
+        ranges.insert({lo, hi});
+    }
+
+    std::vector<unsigned> observed;
+    std::vector<unsigned> stepped;
+    std::mutex mutex;
+    std::set<std::pair<size_t, size_t>> ranges;
+};
+
+TEST_F(EngineTest, KernelActorRunsOncePerShardOnItsBlock)
+{
+    // 6 servers over 4 shards: blocks of 2, the last shard empty.
+    auto store = std::make_shared<CountingStore>(cluster_.numServers());
+    auto kernel =
+        std::make_shared<KernelActor<CountingStore>>("K/fleet", store);
+    EXPECT_EQ(kernel->shardKey(), Actor::kKernelShard);
+    engine_.setThreads(4);
+    engine_.addActor(kernel);
+    engine_.run(5); // steps at ticks 2 and 4
+    const std::set<std::pair<size_t, size_t>> blocks = {
+        {0, 2}, {2, 4}, {4, 6}, {6, 6}};
+    EXPECT_EQ(store->ranges, blocks);
+    for (size_t i = 0; i < store->size(); ++i) {
+        EXPECT_EQ(store->observed[i], 5u) << i;
+        EXPECT_EQ(store->stepped[i], 2u) << i;
+    }
+
+    // The serial engine calls the kernel once over every slot.
+    store->ranges.clear();
+    engine_.setThreads(1);
+    engine_.run(2); // steps at tick 6
+    const std::set<std::pair<size_t, size_t>> whole = {{0, 6}};
+    EXPECT_EQ(store->ranges, whole);
+    EXPECT_EQ(store->stepped[5], 3u);
 }
 
 } // namespace

@@ -43,6 +43,31 @@ TEST(Trace, EmptyAtDies)
     EXPECT_DEATH(t.at(0), "empty");
 }
 
+TEST(Trace, CopiesShareOneBuffer)
+{
+    auto t = make({0.1, 0.2, 0.3});
+    UtilizationTrace copy = t;
+    UtilizationTrace assigned;
+    assigned = t;
+    EXPECT_EQ(copy.samples().data(), t.samples().data());
+    EXPECT_EQ(assigned.samples().data(), t.samples().data());
+    EXPECT_DOUBLE_EQ(copy.at(4), 0.2);
+}
+
+TEST(Trace, MovedFromIsEmpty)
+{
+    auto t = make({0.1, 0.2, 0.3});
+    UtilizationTrace moved = std::move(t);
+    EXPECT_DOUBLE_EQ(moved.at(2), 0.3);
+    EXPECT_TRUE(t.empty());
+    EXPECT_TRUE(t.samples().empty());
+    EXPECT_DEATH(t.at(0), "empty");
+    UtilizationTrace target = make({0.5});
+    target = std::move(moved);
+    EXPECT_EQ(target.length(), 3u);
+    EXPECT_TRUE(moved.empty());
+}
+
 TEST(Trace, NegativeSampleDies)
 {
     EXPECT_DEATH(make({0.1, -0.2}), "negative");

@@ -24,7 +24,9 @@ build_root="${1:-${repo_root}/build-san}"
 # fork-and-SIGKILL chaos harness, and the link/lease edge suites the
 # restore path depends on), the fleet-scale layer (parallel trace
 # generation in sim/test_fleetgen, the 5000-server SoA hot path across
-# thread counts in integration/test_fleet_scale), and the online
+# thread counts in integration/test_fleet_scale, and the EC/SM kernel
+# actors under a fault campaign with the control log on across thread
+# counts in integration/test_fleet_kernels), and the online
 # telemetry layer (the frame-decoder fuzz battery over adversarial
 # byte streams, the socket-fed StreamSource/ClusterFeed policy suite,
 # and the replay-equivalence matrix that crosses thread counts with a
@@ -45,7 +47,7 @@ build_root="${1:-${repo_root}/build-san}"
 # netem equivalence suite that forks sanitized npsim/npsnode trees),
 # and the strict token readers every script grammar and numeric CLI flag
 # goes through (their edge cases are exactly UBSan's overflow territory).
-test_regex='sim/test_engine|sim/test_engine_fuzz|sim/test_fleetgen|integration/test_determinism|integration/test_fleet_scale|golden/test_golden_master|fault/test_injector|fault/test_chaos|fault/test_degradation|ckpt/test_snapshot|ckpt/test_resume|ckpt/test_chaos_kill|bus/test_link_replay|bus/test_transport_seq|bus/test_seq_wraparound|controllers/test_lease_boundary|stream/test_frame|stream/test_frame_fuzz|stream/test_dist_frames|stream/test_stream_source|stream/test_silence_equiv|stream/test_replay_equiv|stream/test_listen_backoff|core/test_plan_io|integration/test_dist_equiv|integration/test_netem_equiv|netem/test_netem_schedule|netem/test_netem_transport|netem/test_netem_campaign|obs/test_live_agg|obs/test_live_http|obs/test_cascade|util/test_script'
+test_regex='sim/test_engine|sim/test_engine_fuzz|sim/test_fleetgen|integration/test_determinism|integration/test_fleet_scale|integration/test_fleet_kernels|golden/test_golden_master|fault/test_injector|fault/test_chaos|fault/test_degradation|ckpt/test_snapshot|ckpt/test_resume|ckpt/test_chaos_kill|bus/test_link_replay|bus/test_transport_seq|bus/test_seq_wraparound|controllers/test_lease_boundary|stream/test_frame|stream/test_frame_fuzz|stream/test_dist_frames|stream/test_stream_source|stream/test_silence_equiv|stream/test_replay_equiv|stream/test_listen_backoff|core/test_plan_io|integration/test_dist_equiv|integration/test_netem_equiv|netem/test_netem_schedule|netem/test_netem_transport|netem/test_netem_campaign|obs/test_live_agg|obs/test_live_http|obs/test_cascade|util/test_script'
 
 run_one() {
     local label="$1"
