@@ -91,6 +91,12 @@ BM_DivideBudget(benchmark::State &state)
 }
 BENCHMARK(BM_DivideBudget)->Arg(20)->Arg(66)->Arg(180);
 
+/**
+ * One VMC epoch's packing over n bins and n items. The 76.5 W local cap
+ * binds at a packed load of about 0.80, before the 0.9 capacity, which
+ * is the regime the consolidate-10k fleet packs in; the 10000-bin case
+ * shows how the packer scales there.
+ */
 void
 BM_PackGreedy(benchmark::State &state)
 {
@@ -117,7 +123,7 @@ BM_PackGreedy(benchmark::State &state)
         benchmark::DoNotOptimize(r);
     }
 }
-BENCHMARK(BM_PackGreedy)->Arg(60)->Arg(180)->Arg(500);
+BENCHMARK(BM_PackGreedy)->Arg(60)->Arg(180)->Arg(500)->Arg(10000);
 
 void
 BM_SmClosedLoopSettling(benchmark::State &state)

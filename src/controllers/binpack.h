@@ -83,6 +83,20 @@ struct PackResult
  */
 double estimateBinPower(const PackBin &bin, double load);
 
+/**
+ * The largest packed load a bin can carry: the largest double y > 0
+ * with y <= capacity + 1e-12 and estimateBinPower(bin, y) <=
+ * power_cap + 1e-12 — the capacity and local power checks the packer
+ * applies to a bin. Both checks are monotone in y for y > 0 (P0 is the
+ * fastest state, frequencies strictly fall and the watts are
+ * non-negative, so the estimate never falls as load rises), hence a
+ * positive load passes both exactly when it is <= the result. Found by
+ * bisection over the bit patterns of the positive doubles (at most 64
+ * estimates). Returns 0 when no positive load passes and +infinity when
+ * every load does.
+ */
+double maxPackedLoad(const PackBin &bin);
+
 /** Power estimate and constraint compliance of a whole assignment. */
 struct AssignmentEval
 {
@@ -111,6 +125,39 @@ double estimateAssignmentPower(const std::vector<PackItem> &items,
 
 /**
  * Best-fit-decreasing packing under the given constraints.
+ *
+ * Items are taken by descending load (stable: ties keep input order).
+ * A placement on bin b is *tried* by checking, in order, capacity
+ * (new load <= capacity + 1e-12), the local power cap (estimate <=
+ * power_cap + 1e-12) and the enclosure/group ledger; it succeeds when
+ * all three pass. Each item takes the first of:
+ *  1. its current host, when that bin is already open;
+ *  2. the open bin with the least slack capacity - load - item.load
+ *     among those with slack >= -1e-12, the lowest index on ties;
+ *  3. every other open bin, in bin-index order;
+ *  4. its current host, when it is not open yet, then every closed bin
+ *     in opening order: on servers by index, then off servers;
+ *  5. none fits: the item stays on its current host regardless of the
+ *     constraints and the result is marked infeasible.
+ *
+ * Steps 2 and 3 run on indexes rather than scans, and choose exactly
+ * the bins the scans would: an ordered set of open bins keyed by
+ * (capacity - load, index) for step 2, and for step 3 a max segment
+ * tree over bin index holding maxPackedLoad(b) - load, which skips
+ * every bin the capacity or power check would refuse, so only ledger
+ * refusals cost a try. Step 4 starts past the already-opened prefix of
+ * the opening order, and every try rejects a bin too small for the item
+ * by the same limit, before any power estimate. Zero loads take the
+ * same path: a zero-load item leaves a bin's load unchanged, a bin that
+ * passes at a positive load holds at most its limit, and the limit
+ * (>= 0) never refuses a load of 0, so the indexes still offer every
+ * bin that passes and the full checks decide. Cost: O((VMs + ledger
+ * refusals) * log bins), plus one bisection per distinct (model,
+ * capacity, util_limit, power_cap), plus one compare per closed bin
+ * step 4 walks: every closed bin for an item no bin accepts.
+ *
+ * Item loads must be finite and non-negative and bin capacities must
+ * not be NaN (the indexes order bins by them); anything else panics.
  *
  * @param items       VMs to place (copied; sorted internally).
  * @param bins        Candidate servers.

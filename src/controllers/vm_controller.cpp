@@ -29,6 +29,14 @@ VmController::VmController(sim::Cluster &cluster, Feedback feedback,
                     params_.capacity_target);
     if (params_.buffer_max < 0.0 || params_.buffer_max >= 1.0)
         util::fatal("VMC: buffer max %f out of [0,1)", params_.buffer_max);
+    // Packed loads are (mean + spread_sigma * sd) * (1 + alpha_v), and
+    // the packer takes only finite, non-negative loads.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    if (!(params_.spread_sigma >= 0.0 && params_.spread_sigma < kInf))
+        util::fatal("VMC: spread sigma %f out of [0,inf)",
+                    params_.spread_sigma);
+    if (!(params_.alpha_v >= 0.0 && params_.alpha_v < kInf))
+        util::fatal("VMC: alpha_v %f out of [0,inf)", params_.alpha_v);
     if (params_.use_forecast) {
         forecasters_.assign(cluster.numVms(),
                             DemandForecaster(params_.forecast));
@@ -169,14 +177,14 @@ VmController::observe(size_t tick)
             restartCold();
         }
     }
+    // Coordinated: real (full-speed) utilization. Uncoordinated: the
+    // apparent share a guest agent reports, which saturates with the
+    // host and misreads throttled machines.
+    const sim::VmStateSoA &st = cluster_.vmState();
+    const std::vector<double> &seen =
+        params_.use_real_util ? st.last_served : st.last_apparent_share;
     for (size_t j = 0; j < cluster_.numVms(); ++j) {
-        const sim::VirtualMachine &vm = cluster_.vm(
-            static_cast<sim::VmId>(j));
-        // Coordinated: real (full-speed) utilization. Uncoordinated: the
-        // apparent share a guest agent reports, which saturates with the
-        // host and misreads throttled machines.
-        double u = params_.use_real_util ? vm.lastServed()
-                                         : vm.lastApparentShare();
+        double u = seen[j];
         load_accum_[j] += u;
         load_sq_accum_[j] += u * u;
     }

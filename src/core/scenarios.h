@@ -51,10 +51,12 @@ CoordinationConfig baselineConfig();
 /**
  * The fully coordinated stack tuned for synthetic fleets at 10k+ servers
  * (sim/fleetgen.h): VM migration off (the bin-packing consolidation pass
- * is cluster-global and O(VMs log VMs) per step — the scaling studies
- * measure the per-tick control plane, not placement search) and all
- * observation layers off so the hot path is what npsbench's
- * fleet-100k workload times.
+ * is one serial, cluster-global stage, O((VMs + ledger refusals) *
+ * log servers) per epoch plus the closed bins walked for items no open
+ * bin takes, that npsbench's consolidate-10k workload times on its own
+ * — the scaling studies measure the per-tick control plane, not
+ * placement search) and all observation layers off so the hot path is
+ * what npsbench's fleet-100k workload times.
  */
 CoordinationConfig fleetConfig();
 

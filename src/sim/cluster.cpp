@@ -157,20 +157,25 @@ Cluster::enclosureOf(ServerId server) const
     return server_enclosure_[server];
 }
 
-VirtualMachine &
-Cluster::vm(VmId id)
-{
-    if (id >= vms_.size())
-        util::panic("Cluster::vm(%u): out of range", id);
-    return vms_[id];
-}
-
 const VirtualMachine &
 Cluster::vm(VmId id) const
 {
     if (id >= vms_.size())
         util::panic("Cluster::vm(%u): out of range", id);
     return vms_[id];
+}
+
+void
+Cluster::replaceVm(VmId id, trace::UtilizationTrace tr)
+{
+    if (id >= vms_.size())
+        util::panic("Cluster::replaceVm(%u): out of range", id);
+    vms_[id] = VirtualMachine(id, std::move(tr), vm_store_, id);
+    VmStateSoA &st = *vm_store_;
+    st.migrating_until[id] = 0;
+    st.last_demanded[id] = 0.0;
+    st.last_served[id] = 0.0;
+    st.last_apparent_share[id] = 0.0;
 }
 
 ServerId

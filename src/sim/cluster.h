@@ -137,12 +137,17 @@ class Cluster
     EnclosureId enclosureOf(ServerId server) const;
 
     /** VM by id. */
-    VirtualMachine &vm(VmId id);
     const VirtualMachine &vm(VmId id) const;
 
-    /** All VMs. */
-    std::vector<VirtualMachine> &vms() { return vms_; }
+    /** All VMs. Read-only, like vm(): a VM never leaves its slot. */
     const std::vector<VirtualMachine> &vms() const { return vms_; }
+
+    /**
+     * Give VM @p id a new trace and fresh state (no migration, zeroed
+     * sensors), keeping it in its slot of the shared VM store that
+     * vmState() readers fold. The only way to swap a cluster VM's trace.
+     */
+    void replaceVm(VmId id, trace::UtilizationTrace tr);
 
     /// @}
     /// @name Placement
@@ -262,6 +267,10 @@ class Cluster
     /** Shared per-server dynamic state (slot == ServerId). The hot
      * aggregation in evaluateTick folds over these arrays directly. */
     const ServerStateSoA &serverState() const { return *server_store_; }
+
+    /** Shared per-VM dynamic state (slot == VmId). The VMC's observe
+     * folds the last-tick columns directly. */
+    const VmStateSoA &vmState() const { return *vm_store_; }
 
   private:
     void buildTopology(const Topology &topo);

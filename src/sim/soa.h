@@ -17,12 +17,11 @@
  * Ownership contract: a Cluster builds one shared store per kind and
  * hands every element a slot equal to its id. Objects constructed
  * standalone (unit tests, examples) own a private single-slot store —
- * the view code is identical either way. Assigning a foreign
- * VirtualMachine into a cluster slot (some tests do, to swap traces)
- * simply reseats that VM onto its private store; all per-VM reads go
- * through the object, so the swap is safe. Cluster-owned Servers are
- * never reseated: the aggregation pass iterates the server arrays
- * directly, which is what makes the tick fold cache-friendly.
+ * the view code is identical either way. Cluster-owned elements are
+ * never reseated: the aggregation pass iterates the server arrays and
+ * the VMC's observe iterates the VM arrays directly, which is what
+ * makes those folds cache-friendly. To swap a cluster VM's trace, use
+ * Cluster::replaceVm, which keeps the VM in its slot.
  */
 
 #ifndef NPS_SIM_SOA_H

@@ -69,9 +69,8 @@ TEST(CoolingManager, RespondsToLoadStep)
     drive(0, 2000);
     double cool_power = cm.lastCoolingPower();
     // Demand triples: the CRACs must ramp extraction (and electricity).
-    for (auto &vm : cluster.vms())
-        vm = sim::VirtualMachine(vm.id(),
-                                 nps_test::flatTrace("hot", 0.8, 8));
+    for (sim::VmId j = 0; j < cluster.numVms(); ++j)
+        cluster.replaceVm(j, nps_test::flatTrace("hot", 0.8, 8));
     drive(2000, 5000);
     EXPECT_GT(cm.lastCoolingPower(), cool_power * 1.2);
     EXPECT_NEAR(cm.hottestZone(), 27.0, 2.0);

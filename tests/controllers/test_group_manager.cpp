@@ -146,9 +146,8 @@ TEST_F(GmTest, ViolationExposure)
     gm.observe(0);
     EXPECT_DOUBLE_EQ(gm.epochViolationRate(), 0.0);
     // Saturate everything: group power above CAP_GRP.
-    for (auto &vm : cluster_.vms())
-        vm = sim::VirtualMachine(vm.id(),
-                                 nps_test::flatTrace("hot", 1.0, 8));
+    for (sim::VmId j = 0; j < cluster_.numVms(); ++j)
+        cluster_.replaceVm(j, nps_test::flatTrace("hot", 1.0, 8));
     cluster_.evaluateTick(1);
     gm.observe(1);
     EXPECT_DOUBLE_EQ(gm.epochViolationRate(), 0.5);

@@ -88,9 +88,8 @@ TEST_F(VmcTest, BudgetConstraintsLimitPacking)
     // Six VMs at 0.4: without budgets three fit per server (1.2+ load >
     // capacity, so two per server at 0.88); with a tight local cap only
     // lighter packing is feasible.
-    for (auto &vm : cluster_.vms())
-        vm = sim::VirtualMachine(vm.id(),
-                                 nps_test::flatTrace("m", 0.4, 8));
+    for (sim::VmId j = 0; j < cluster_.numVms(); ++j)
+        cluster_.replaceVm(j, nps_test::flatTrace("m", 0.4, 8));
     auto p = fastParams();
     p.use_budget_constraints = true;
     VmController vmc(cluster_, {}, p);
@@ -111,9 +110,8 @@ TEST_F(VmcTest, BudgetConstraintsLimitPacking)
 
 TEST_F(VmcTest, NoBudgetConstraintsPacksTighter)
 {
-    for (auto &vm : cluster_.vms())
-        vm = sim::VirtualMachine(vm.id(),
-                                 nps_test::flatTrace("m", 0.4, 8));
+    for (sim::VmId j = 0; j < cluster_.numVms(); ++j)
+        cluster_.replaceVm(j, nps_test::flatTrace("m", 0.4, 8));
     auto constrained = fastParams();
     auto unconstrained = fastParams();
     unconstrained.use_budget_constraints = false;
@@ -264,9 +262,8 @@ TEST_F(VmcTest, BootsTargetsBeforeMigration)
     for (const auto &s : cluster_.servers())
         off_before += s.isOn(99) ? 0 : 1;
     ASSERT_GT(off_before, 0u);
-    for (auto &vm : cluster_.vms())
-        vm = sim::VirtualMachine(vm.id(),
-                                 nps_test::flatTrace("hot", 0.6, 8));
+    for (sim::VmId j = 0; j < cluster_.numVms(); ++j)
+        cluster_.replaceVm(j, nps_test::flatTrace("hot", 0.6, 8));
     run(vmc, 100, 100);
     size_t on_after = 0;
     for (const auto &s : cluster_.servers())
@@ -280,14 +277,13 @@ TEST_F(VmcTest, ForecastAnticipatesRamps)
     // with more servers on (it packs for where demand is going) than
     // the reactive one at the same instant.
     auto make_ramp = [](sim::Cluster &cl) {
-        for (auto &vm : cl.vms()) {
+        for (sim::VmId j = 0; j < cl.numVms(); ++j) {
             std::vector<double> v(120);
             for (size_t t = 0; t < v.size(); ++t)
                 v[t] = 0.10 + 0.15 * static_cast<double>(t / 20);
-            vm = sim::VirtualMachine(
-                vm.id(), trace::UtilizationTrace(
-                             "ramp", trace::WorkloadClass::Batch,
-                             std::move(v)));
+            cl.replaceVm(j, trace::UtilizationTrace(
+                                "ramp", trace::WorkloadClass::Batch,
+                                std::move(v)));
         }
     };
     auto reactive_p = fastParams();
@@ -335,6 +331,13 @@ TEST_F(VmcTest, BadParamsDie)
     auto q = fastParams();
     q.buffer_max = 1.0;
     EXPECT_DEATH(VmController(cluster_, {}, q), "buffer max");
+    // Either would hand the packer a negative load.
+    auto r = fastParams();
+    r.spread_sigma = -0.5;
+    EXPECT_DEATH(VmController(cluster_, {}, r), "spread sigma");
+    auto s = fastParams();
+    s.alpha_v = -2.0;
+    EXPECT_DEATH(VmController(cluster_, {}, s), "alpha_v");
 }
 
 } // namespace

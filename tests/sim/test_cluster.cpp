@@ -127,6 +127,29 @@ TEST(Cluster, EvaluateTickAggregates)
     EXPECT_NEAR(tick.served_useful, 6.0 * 0.3, 1e-12);
 }
 
+TEST(Cluster, ReplaceVmKeepsTheSharedSlot)
+{
+    auto cl = nps_test::smallCluster(0.3);
+    cl.migrateVm(2, 3, 0, 10);
+    cl.evaluateTick(0);
+    cl.replaceVm(2, nps_test::flatTrace("hot", 0.6, 8));
+    // Fresh state: no migration in flight, zeroed sensors.
+    EXPECT_FALSE(cl.vm(2).migrating(1));
+    EXPECT_EQ(cl.vmState().last_served[2], 0.0);
+    EXPECT_EQ(cl.serverOf(2), 3u);
+    // The next tick's outcome lands in the cluster's store, where the
+    // per-VM folds read it.
+    cl.evaluateTick(1);
+    EXPECT_NEAR(cl.vm(2).lastServed(), 0.6, 1e-12);
+    for (VmId j = 0; j < cl.numVms(); ++j) {
+        EXPECT_EQ(cl.vmState().last_served[j], cl.vm(j).lastServed());
+        EXPECT_EQ(cl.vmState().last_apparent_share[j],
+                  cl.vm(j).lastApparentShare());
+    }
+    EXPECT_DEATH(cl.replaceVm(6, nps_test::flatTrace("x", 0.1, 8)),
+                 "out of range");
+}
+
 TEST(Cluster, HeterogeneousSpecs)
 {
     std::vector<std::shared_ptr<const nps::model::MachineSpec>> specs;
