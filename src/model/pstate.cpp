@@ -7,12 +7,10 @@
 namespace nps {
 namespace model {
 
-double
-PState::powerAt(double util) const
+void
+PState::utilOutOfRange(double util)
 {
-    if (util < 0.0 || util > 1.0)
-        util::panic("PState::powerAt(%f): utilization out of [0,1]", util);
-    return dyn_watts * util + idle_watts;
+    util::panic("PState::powerAt(%f): utilization out of [0,1]", util);
 }
 
 PStateTable::PStateTable(std::vector<PState> states)

@@ -34,11 +34,24 @@ struct PState
     /** Idle power d_p in watts (power at zero utilization). */
     double idle_watts = 0.0;
 
-    /** Power at utilization @p util in [0,1]: c_p * util + d_p. */
-    double powerAt(double util) const;
+    /**
+     * Power at utilization @p util in [0,1]: c_p * util + d_p. Panics
+     * outside [0,1]. Inline: the plant kernel calls it once per server
+     * per tick (sim/server.h, serveTick).
+     */
+    double
+    powerAt(double util) const
+    {
+        if (util < 0.0 || util > 1.0)
+            utilOutOfRange(util);
+        return dyn_watts * util + idle_watts;
+    }
 
     /** Peak power of this state (utilization 1). */
     double peakPower() const { return dyn_watts + idle_watts; }
+
+  private:
+    [[noreturn]] static void utilOutOfRange(double util);
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "util/logging.h"
@@ -171,6 +172,7 @@ Cluster::replaceVm(VmId id, trace::UtilizationTrace tr)
     if (id >= vms_.size())
         util::panic("Cluster::replaceVm(%u): out of range", id);
     vms_[id] = VirtualMachine(id, std::move(tr), vm_store_, id);
+    placement_.stale = true;
     VmStateSoA &st = *vm_store_;
     st.migrating_until[id] = 0;
     st.last_demanded[id] = 0.0;
@@ -198,6 +200,7 @@ Cluster::placeVm(VmId vm, ServerId dst)
         servers_[src].removeVm(vm);
     servers_[dst].addVm(vm);
     vm_server_[vm] = dst;
+    placement_.stale = true;
 }
 
 void
@@ -262,30 +265,211 @@ Cluster::enableExternalDemand()
         vm_store_->staged_demand.assign(vms_.size(), 0.0);
 }
 
+namespace {
+
+/** serveTick's view of one spec's rows in the flat power table. */
+struct SpecRows
+{
+    const PowerRow *rows;
+    uint32_t states;
+    double off_watts;
+    double boot_watts;
+
+    double offWatts() const { return off_watts; }
+    double bootWatts() const { return boot_watts; }
+
+    const PowerRow &
+    row(size_t p) const
+    {
+        if (p >= states)
+            util::panic("Cluster::evaluateTick: P-state %zu out of range",
+                        p);
+        return rows[p];
+    }
+};
+
+/**
+ * serveTick's view of one server's slice of the placement columns,
+ * whose demand the shard's demand pass has already read.
+ */
+class CsrVms
+{
+  public:
+    CsrVms(const PlacementColumns &pc, VmStateSoA &vs, size_t tick)
+        : vm_(pc.vm.data()), demand_(pc.demand.data()),
+          migrating_until_(vs.migrating_until.data()),
+          last_demanded_(vs.last_demanded.data()),
+          last_served_(vs.last_served.data()),
+          last_apparent_share_(vs.last_apparent_share.data()), tick_(tick)
+    {
+    }
+
+    /** Point at the CSR entries [lo, hi). */
+    void
+    select(size_t lo, size_t hi)
+    {
+        lo_ = lo;
+        n_ = hi - lo;
+    }
+
+    size_t size() const { return n_; }
+    double demand(size_t k) const { return demand_[lo_ + k]; }
+
+    bool
+    migrating(size_t k) const
+    {
+        return tick_ < migrating_until_[vm_[lo_ + k]];
+    }
+
+    void
+    record(size_t k, double demanded, double served, double share) const
+    {
+        const uint32_t v = vm_[lo_ + k];
+        last_demanded_[v] = demanded;
+        last_served_[v] = served;
+        last_apparent_share_[v] = share;
+    }
+
+  private:
+    const uint32_t *vm_;
+    const double *demand_;
+    const uint64_t *migrating_until_;
+    double *last_demanded_;
+    double *last_served_;
+    double *last_apparent_share_;
+    size_t tick_;
+    size_t lo_ = 0;
+    size_t n_ = 0;
+};
+
+} // namespace
+
+void
+Cluster::preparePlant(size_t shards)
+{
+    const size_t n = servers_.size();
+    if (server_spec_.size() != n) {
+        // Specs are immutable: one set of rows per distinct spec, for
+        // the cluster's lifetime.
+        std::map<const model::MachineSpec *, uint32_t> seen;
+        server_spec_.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+            const model::MachineSpec *spec = &servers_[i].spec();
+            const auto [it, added] = seen.emplace(
+                spec, static_cast<uint32_t>(plant_specs_.size()));
+            if (added) {
+                PlantSpec ps;
+                ps.first_row = static_cast<uint32_t>(plant_rows_.size());
+                ps.states = static_cast<uint32_t>(spec->pstates().size());
+                ps.off_watts = spec->offWatts();
+                ps.boot_watts = spec->model().idlePower(0);
+                for (size_t p = 0; p < ps.states; ++p)
+                    plant_rows_.push_back(PowerRow::of(spec->pstates(), p));
+                plant_specs_.push_back(ps);
+            }
+            server_spec_[i] = it->second;
+        }
+    }
+
+    PlacementColumns &pc = placement_;
+    if (pc.stale) {
+        pc.host_begin.resize(n + 1);
+        pc.vm.clear();
+        pc.trace.clear();
+        pc.trace_len.clear();
+        for (size_t i = 0; i < n; ++i) {
+            pc.host_begin[i] = static_cast<uint32_t>(pc.vm.size());
+            for (VmId v : servers_[i].vms()) {
+                const trace::UtilizationTrace &tr = vms_[v].trace();
+                pc.vm.push_back(v);
+                pc.trace.push_back(tr.samples().data());
+                pc.trace_len.push_back(tr.length());
+            }
+        }
+        pc.host_begin[n] = static_cast<uint32_t>(pc.vm.size());
+        pc.demand.resize(pc.vm.size());
+        pc.cut.clear();
+        pc.stale = false;
+    }
+
+    if (pc.cut.size() != shards + 1) {
+        // Server i's work is 1 + its VMs, so work before server i is
+        // i + host_begin[i], strictly increasing: cut shard s at the
+        // first server with work before it >= s/shards of the total.
+        const size_t total = n + pc.vm.size();
+        pc.cut.assign(shards + 1, n);
+        pc.cut[0] = 0;
+        size_t i = 0;
+        for (size_t s = 1; s < shards; ++s) {
+            while (i < n && (i + pc.host_begin[i]) * shards < s * total)
+                ++i;
+            pc.cut[s] = i;
+        }
+    }
+}
+
+std::pair<size_t, size_t>
+Cluster::evaluateServers(size_t lo, size_t hi, size_t tick)
+{
+    ServerStateSoA &st = *server_store_;
+    PlacementColumns &pc = placement_;
+    const uint32_t *host_begin = pc.host_begin.data();
+
+    // Demand pass: each hosted VM's demand, read once, into this
+    // shard's range of the demand column. The loads are independent,
+    // so a tight loop keeps many trace-line misses in flight.
+    const VmStateSoA &vs = *vm_store_;
+    double *demand = pc.demand.data();
+    if (vs.external_demand) {
+        const double *staged = vs.staged_demand.data();
+        for (size_t j = host_begin[lo]; j < host_begin[hi]; ++j)
+            demand[j] = staged[pc.vm[j]];
+    } else {
+        // Traces mostly share a length: reuse tick % length.
+        size_t wrap_len = 0, wrap_at = 0;
+        for (size_t j = host_begin[lo]; j < host_begin[hi]; ++j) {
+            if (pc.trace_len[j] != wrap_len) {
+                wrap_len = pc.trace_len[j];
+                wrap_at = tick % wrap_len;
+            }
+            demand[j] = pc.trace[j][wrap_at];
+        }
+    }
+
+    CsrVms hosted(pc, *vm_store_, tick);
+    size_t live = 0, over = 0;
+    for (size_t i = lo; i < hi; ++i) {
+        const PlantSpec &ps = plant_specs_[server_spec_[i]];
+        const SpecRows spec{plant_rows_.data() + ps.first_row, ps.states,
+                            ps.off_watts, ps.boot_watts};
+        hosted.select(host_begin[i], host_begin[i + 1]);
+        serveTick(static_cast<ServerId>(i), tick, spec, alpha_v_, alpha_m_,
+                  st, i, hosted);
+        if (st.power_state[i] == static_cast<uint8_t>(PlatformPower::Off))
+            continue;
+        ++live;
+        over += st.power[i] > cap_loc_[i] + kBudgetSlack ? 1 : 0;
+    }
+    return {live, over};
+}
+
 const ClusterTick &
 Cluster::evaluateTick(size_t tick, util::ThreadPool *pool)
 {
     // Phase 1: evaluate every server. Evaluations are independent (each
-    // server reads and writes only itself and the disjoint set of VMs it
-    // hosts), so they fan out across contiguous server shards. Each shard
-    // also counts its SM-level budget violations (live servers over
-    // CAP_LOC), so the metrics pass needs no per-server walk.
+    // server reads and writes only itself, the disjoint set of VMs it
+    // hosts and their CSR entries), so they fan out across contiguous
+    // server ranges of about equal work. Each shard also counts its
+    // SM-level budget violations (live servers over CAP_LOC), so the
+    // metrics pass needs no per-server walk.
     const size_t n = servers_.size();
     const bool parallel = pool != nullptr && pool->size() > 1 && n > 1;
     const size_t shards = parallel ? pool->size() : 1;
-    const util::ShardRange range(n, shards);
-    const ServerStateSoA &st = *server_store_;
+    preparePlant(shards);
+    const std::vector<size_t> &cut = placement_.cut;
     shard_counts_.assign(shards, {0, 0});
     auto evaluateShard = [&](size_t s) {
-        size_t live = 0, over = 0;
-        for (size_t i = range.lo(s); i < range.hi(s); ++i) {
-            servers_[i].evaluate(tick, vms_);
-            if (servers_[i].platformPower(tick) == PlatformPower::Off)
-                continue;
-            ++live;
-            over += st.power[i] > cap_loc_[i] + kBudgetSlack ? 1 : 0;
-        }
-        shard_counts_[s] = {live, over};
+        shard_counts_[s] = evaluateServers(cut[s], cut[s + 1], tick);
     };
     if (parallel)
         pool->parallelFor(shards, evaluateShard);
@@ -297,29 +481,43 @@ Cluster::evaluateTick(size_t tick, util::ThreadPool *pool)
     // serial runs produce bit-identical sums. The fold reads the SoA
     // sensor arrays directly (cluster-owned servers are never reseated,
     // so slot i is server i) and reuses last_'s buffers in place — no
-    // per-tick allocation.
-    last_.total_power = 0.0;
-    last_.demanded_useful = 0.0;
-    last_.served_useful = 0.0;
-    if (last_.enclosure_power.size() != enclosures_.size())
-        last_.enclosure_power.assign(enclosures_.size(), 0.0);
+    // per-tick allocation. The sums run in locals, and an enclosure's
+    // sum in a register while consecutive servers share it: the same
+    // additions in the same order as adding into the arrays.
+    const ServerStateSoA &st = *server_store_;
+    std::vector<double> &enc_power = last_.enclosure_power;
+    if (enc_power.size() != enclosures_.size())
+        enc_power.assign(enclosures_.size(), 0.0);
     else
-        std::fill(last_.enclosure_power.begin(),
-                  last_.enclosure_power.end(), 0.0);
+        std::fill(enc_power.begin(), enc_power.end(), 0.0);
     last_.live_servers = 0;
     last_.over_cap_loc = 0;
     for (const auto &c : shard_counts_) {
         last_.live_servers += c.first;
         last_.over_cap_loc += c.second;
     }
-    for (size_t i = 0; i < servers_.size(); ++i) {
-        last_.total_power += st.power[i];
-        last_.demanded_useful += st.demanded_useful[i];
-        last_.served_useful += st.served_useful[i];
-        EnclosureId enc = server_enclosure_[i];
+    double total = 0.0, demanded = 0.0, served = 0.0, run = 0.0;
+    EnclosureId run_enc = kNoEnclosure;
+    for (size_t i = 0; i < n; ++i) {
+        const double p = st.power[i];
+        total += p;
+        demanded += st.demanded_useful[i];
+        served += st.served_useful[i];
+        const EnclosureId enc = server_enclosure_[i];
+        if (enc != run_enc) {
+            if (run_enc != kNoEnclosure)
+                enc_power[run_enc] = run;
+            run_enc = enc;
+            run = enc != kNoEnclosure ? enc_power[enc] : 0.0;
+        }
         if (enc != kNoEnclosure)
-            last_.enclosure_power[enc] += st.power[i];
+            run += p;
     }
+    if (run_enc != kNoEnclosure)
+        enc_power[run_enc] = run;
+    last_.total_power = total;
+    last_.demanded_useful = demanded;
+    last_.served_useful = served;
     return last_;
 }
 

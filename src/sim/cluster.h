@@ -209,13 +209,16 @@ class Cluster
      * Serve one tick on every server and aggregate. Also retained as
      * lastTick().
      *
-     * When @p pool is non-null, the per-server evaluations (which are
+     * Phase 1 is a kernel over the placement columns (sim/soa.h): each
+     * server runs serveTick over its CSR slice, each VM's demand read
+     * once. When @p pool is non-null the evaluations (which are
      * independent: each touches only its own server and its hosted VMs)
-     * fan out across contiguous server shards (util::ShardRange), each
-     * shard also counting its live and over-CAP_LOC servers; the power
+     * fan out in one parallelFor across contiguous server ranges of
+     * about equal work (one per server plus one per hosted VM), each
+     * shard also counting its live and over-CAP_LOC servers. The power
      * aggregation is always a serial fold over servers in id order and
      * the counts are summed in shard order, so the result is
-     * bit-identical for any pool size, including none.
+     * bit-identical for any pool size and any cut, including none.
      */
     const ClusterTick &evaluateTick(size_t tick,
                                     util::ThreadPool *pool = nullptr);
@@ -273,10 +276,25 @@ class Cluster
     const VmStateSoA &vmState() const { return *vm_store_; }
 
   private:
+    /** A machine spec as the plant kernel reads it. */
+    struct PlantSpec
+    {
+        uint32_t first_row = 0; //!< its P0 row in plant_rows_
+        uint32_t states = 0;
+        double off_watts = 0.0;
+        double boot_watts = 0.0; //!< idle power at P0
+    };
+
     void buildTopology(const Topology &topo);
     void initialPlacement(
         const std::vector<trace::UtilizationTrace> &traces);
     void cacheBudgets();
+    /** Build the spec rows once, the placement columns when stale, and
+     * the cuts for @p shards when the count changed. */
+    void preparePlant(size_t shards);
+    /** Phase 1 over servers [lo, hi): (live, over-CAP_LOC) counts. */
+    std::pair<size_t, size_t> evaluateServers(size_t lo, size_t hi,
+                                              size_t tick);
 
     std::shared_ptr<ServerStateSoA> server_store_;
     std::shared_ptr<VmStateSoA> vm_store_;
@@ -292,6 +310,13 @@ class Cluster
     ClusterTick last_;
     /** Per-shard (live, over-cap) counts of the tick being evaluated. */
     std::vector<std::pair<size_t, size_t>> shard_counts_;
+    /** Derived placement columns of the plant kernel. */
+    PlacementColumns placement_;
+    /** Flat per-(spec, P-state) power rows, built at the first tick. */
+    std::vector<PowerRow> plant_rows_;
+    std::vector<PlantSpec> plant_specs_;
+    /** Per server: its index into plant_specs_. */
+    std::vector<uint32_t> server_spec_;
 
     // Static caps, cached at construction (specs are immutable). The
     // cached values are computed with exactly the arithmetic the

@@ -75,78 +75,50 @@ Server::badPState(size_t p) const
     util::panic("Server %u: P-state %zu out of range", id_, p);
 }
 
+namespace {
+
+/** serveTick's view of a standalone server's spec. */
+struct SpecView
+{
+    const model::MachineSpec &spec;
+
+    double offWatts() const { return spec.offWatts(); }
+    double bootWatts() const { return spec.model().idlePower(0); }
+    PowerRow row(size_t p) const { return PowerRow::of(spec.pstates(), p); }
+};
+
+/** serveTick's view of the hosted VMs, through the VM objects. */
+struct HostedVms
+{
+    const std::vector<VmId> &ids;
+    std::vector<VirtualMachine> &vms;
+    size_t tick;
+
+    size_t size() const { return ids.size(); }
+    double demand(size_t k) const { return vms.at(ids[k]).demandAt(tick); }
+    bool migrating(size_t k) const { return vms.at(ids[k]).migrating(tick); }
+
+    void
+    record(size_t k, double demanded, double served, double share) const
+    {
+        vms.at(ids[k]).recordServed(demanded, served, share);
+    }
+};
+
+} // namespace
+
+void
+offServerHostsVms(ServerId id)
+{
+    util::panic("Server %u: off but hosting VMs", id);
+}
+
 ServerTick
 Server::evaluate(size_t tick, std::vector<VirtualMachine> &vms)
 {
-    // Resolve a finished boot into the On state.
-    if (powerState() == PlatformPower::Booting &&
-        tick >= store_->boot_done_tick[slot_])
-        setPowerState(PlatformPower::On);
-
-    ServerTick out;
-
-    // Gather useful-work demand and overheads.
-    double useful = 0.0;
-    double overhead = 0.0;
-    for (VmId vm_id : vms_) {
-        VirtualMachine &vm = vms.at(vm_id);
-        double d = vm.demandAt(tick);
-        useful += d;
-        overhead += alpha_v_ * d;
-        if (vm.migrating(tick))
-            overhead += alpha_m_ * d;
-    }
-    out.demanded_useful = useful;
-
-    const PlatformPower state = powerState();
-    if (state == PlatformPower::Off) {
-        if (!vms_.empty())
-            util::panic("Server %u: off but hosting VMs", id_);
-        out.power = spec_->offWatts();
-        commit(out);
-        return out;
-    }
-    if (state == PlatformPower::Booting) {
-        // Burns idle power at the boot P-state (P0); serves nothing.
-        out.power = model().idlePower(0);
-        for (VmId vm_id : vms_) {
-            VirtualMachine &vm = vms.at(vm_id);
-            vm.recordServed(vm.demandAt(tick), 0.0, 0.0);
-        }
-        commit(out);
-        return out;
-    }
-
-    double capacity = spec_->pstates().relSpeed(pstate());
-    if (memLowPower())
-        capacity *= 1.0 - kMemCapacityCost;
-
-    double total_load = useful + overhead;
-    double served_frac =
-        total_load > capacity && total_load > 0.0 ? capacity / total_load
-                                                  : 1.0;
-    out.served_useful = useful * served_frac;
-    out.real_util = std::min(total_load, capacity);
-    out.apparent_util =
-        capacity > 0.0 ? std::min(1.0, total_load / capacity) : 1.0;
-    // Scale utilization back to the P-state's own axis: relSpeed already
-    // normalized capacity to full speed, so apparent_util is correct as a
-    // fraction of this state's capacity.
-    out.power = model().powerAt(pstate(), out.apparent_util);
-    if (memLowPower())
-        out.power *= 1.0 - kMemPowerTrim;
-
-    for (VmId vm_id : vms_) {
-        VirtualMachine &vm = vms.at(vm_id);
-        double d = vm.demandAt(tick);
-        double load = d * (1.0 + alpha_v_) +
-                      (vm.migrating(tick) ? alpha_m_ * d : 0.0);
-        double apparent_share =
-            capacity > 0.0 ? load * served_frac / capacity : 0.0;
-        vm.recordServed(d, d * served_frac, apparent_share);
-    }
-    commit(out);
-    return out;
+    HostedVms hosted{vms_, vms, tick};
+    return serveTick(id_, tick, SpecView{*spec_}, alpha_v_, alpha_m_,
+                     *store_, slot_, hosted);
 }
 
 } // namespace sim

@@ -19,6 +19,7 @@
 #ifndef NPS_SIM_SERVER_H
 #define NPS_SIM_SERVER_H
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -172,7 +173,8 @@ class Server
     /**
      * Serve one tick: aggregates hosted VM demand (with virtualization
      * and migration overheads), caps it by the current capacity, computes
-     * power, and records per-VM served work into @p vms.
+     * power, and records per-VM served work into @p vms. Runs serveTick,
+     * the arithmetic Cluster::evaluateTick's kernel runs too.
      *
      * @param tick current simulation tick
      * @param vms  the cluster's VM store, indexed by VmId
@@ -248,17 +250,6 @@ class Server
   private:
     [[noreturn]] void badPState(size_t p) const;
 
-    /** Publish a tick result into the store's sensor arrays. */
-    void
-    commit(const ServerTick &t)
-    {
-        store_->power[slot_] = t.power;
-        store_->apparent_util[slot_] = t.apparent_util;
-        store_->real_util[slot_] = t.real_util;
-        store_->demanded_useful[slot_] = t.demanded_useful;
-        store_->served_useful[slot_] = t.served_useful;
-    }
-
     PlatformPower
     powerState() const
     {
@@ -280,6 +271,116 @@ class Server
     std::shared_ptr<ServerStateSoA> store_;
     uint32_t slot_ = 0;
 };
+
+/**
+ * One (machine spec, P-state) row of the plant's power table: the
+ * state's relative speed and its linear power model.
+ */
+struct PowerRow
+{
+    double rel_speed = 1.0; //!< PStateTable::relSpeed of the state
+    model::PState state;    //!< PState::powerAt is the power expression
+
+    /** Row @p p of @p table (panics when @p p is out of range). */
+    static PowerRow
+    of(const model::PStateTable &table, size_t p)
+    {
+        return {table.relSpeed(p), table.at(p)};
+    }
+};
+
+/** Panic: server @p id is off but hosts VMs (a controller bug). */
+[[noreturn]] void offServerHostsVms(ServerId id);
+
+/**
+ * The service model of one server for one tick — the one copy of the
+ * arithmetic, run by Server::evaluate and by Cluster::evaluateTick's
+ * kernel.
+ *
+ * Resolves a finished boot into On (written back to @p st), sums the
+ * hosted demand with its virtualization and migration overheads, and
+ * serves it: an off server draws its off watts, a booting one idles
+ * at P0 and serves nothing, an on one serves up to the P-state's
+ * relative speed (less the memory low-power capacity cost) and draws
+ * that state's power at the apparent utilization. The five sensors
+ * land in @p st at @p slot, each VM's outcome through @p vms.
+ *
+ * @param spec the server's machine: offWatts(), bootWatts() and
+ *        row(pstate) -> PowerRow (panicking on a bad P-state)
+ * @param vms the hosted VMs in hosting order: size(), demand(k),
+ *        migrating(k) and record(k, demanded, served, apparent_share)
+ */
+template <class Spec, class Hosted>
+inline ServerTick
+serveTick(ServerId id, size_t tick, const Spec &spec, double alpha_v,
+          double alpha_m, ServerStateSoA &st, size_t slot, Hosted &vms)
+{
+    uint8_t &power_state = st.power_state[slot];
+    if (power_state == static_cast<uint8_t>(PlatformPower::Booting) &&
+        tick >= st.boot_done_tick[slot])
+        power_state = static_cast<uint8_t>(PlatformPower::On);
+
+    // Gather useful-work demand and overheads.
+    const size_t n = vms.size();
+    double useful = 0.0;
+    double overhead = 0.0;
+    for (size_t k = 0; k < n; ++k) {
+        const double d = vms.demand(k);
+        useful += d;
+        overhead += alpha_v * d;
+        if (vms.migrating(k))
+            overhead += alpha_m * d;
+    }
+
+    ServerTick out;
+    out.demanded_useful = useful;
+    if (power_state == static_cast<uint8_t>(PlatformPower::Off)) {
+        if (n != 0)
+            offServerHostsVms(id);
+        out.power = spec.offWatts();
+    } else if (power_state == static_cast<uint8_t>(PlatformPower::Booting)) {
+        // Burns idle power at the boot P-state (P0); serves nothing.
+        out.power = spec.bootWatts();
+        for (size_t k = 0; k < n; ++k)
+            vms.record(k, vms.demand(k), 0.0, 0.0);
+    } else {
+        const PowerRow row = spec.row(st.pstate[slot]);
+        const bool mem_low = st.mem_low_power[slot] != 0;
+        double capacity = row.rel_speed;
+        if (mem_low)
+            capacity *= 1.0 - Server::kMemCapacityCost;
+
+        const double total_load = useful + overhead;
+        const double served_frac =
+            total_load > capacity && total_load > 0.0
+                ? capacity / total_load
+                : 1.0;
+        out.served_useful = useful * served_frac;
+        out.real_util = std::min(total_load, capacity);
+        // relSpeed already normalized capacity to full speed, so this
+        // is the utilization on the P-state's own axis.
+        out.apparent_util =
+            capacity > 0.0 ? std::min(1.0, total_load / capacity) : 1.0;
+        out.power = row.state.powerAt(out.apparent_util);
+        if (mem_low)
+            out.power *= 1.0 - Server::kMemPowerTrim;
+
+        for (size_t k = 0; k < n; ++k) {
+            const double d = vms.demand(k);
+            const double load = d * (1.0 + alpha_v) +
+                                (vms.migrating(k) ? alpha_m * d : 0.0);
+            const double apparent_share =
+                capacity > 0.0 ? load * served_frac / capacity : 0.0;
+            vms.record(k, d, d * served_frac, apparent_share);
+        }
+    }
+    st.power[slot] = out.power;
+    st.apparent_util[slot] = out.apparent_util;
+    st.real_util[slot] = out.real_util;
+    st.demanded_useful[slot] = out.demanded_useful;
+    st.served_useful[slot] = out.served_useful;
+    return out;
+}
 
 } // namespace sim
 } // namespace nps

@@ -22,6 +22,16 @@
  * the VMC's observe iterates the VM arrays directly, which is what
  * makes those folds cache-friendly. To swap a cluster VM's trace, use
  * Cluster::replaceVm, which keeps the VM in its slot.
+ *
+ * Derived state: PlacementColumns is the plant kernel's copy of the
+ * placement (a host->VM CSR in Server::vms() order, each hosted VM's
+ * trace pointer and length, a demand column, and the work-balanced
+ * shard cuts). The Cluster owns it and builds it at the first
+ * evaluateTick, not at construction. Cluster::placeVm and migrateVm
+ * (a VM changed host), replaceVm (a VM's trace changed) and loadState
+ * invalidate it, and the next evaluateTick rebuilds it; a different
+ * shard count recuts it. It is never checkpointed: a restored cluster
+ * rebuilds it from the restored placement.
  */
 
 #ifndef NPS_SIM_SOA_H
@@ -112,6 +122,40 @@ struct VmStateSoA
         last_apparent_share.resize(n, 0.0);
         staged_demand.resize(n, 0.0);
     }
+};
+
+/**
+ * The plant kernel's placement columns (Cluster::evaluateTick), derived
+ * from the cluster's placement and VM traces; see the ownership
+ * contract above for what invalidates them.
+ */
+struct PlacementColumns
+{
+    /**
+     * CSR offsets, one per server plus one: server i hosts the entries
+     * [host_begin[i], host_begin[i + 1]) of the per-entry columns.
+     */
+    std::vector<uint32_t> host_begin;
+    /// @name Per CSR entry (servers in id order, each host's VMs in
+    /// Server::vms() order, so every per-server sum keeps its order)
+    /// @{
+    std::vector<uint32_t> vm;          //!< the hosted VM's id
+    /** Its trace samples, kept alive by the VM's trace; replaceVm
+     * marks the columns stale before the old samples can go. */
+    std::vector<const double *> trace;
+    std::vector<size_t> trace_len;     //!< its trace length
+    /** This tick's demand, read once per VM per tick; each shard
+     * writes only its own contiguous range. */
+    std::vector<double> demand;
+    /// @}
+    /**
+     * Shard cuts for `cut.size() - 1` shards: shard s evaluates servers
+     * [cut[s], cut[s + 1]), contiguous id ranges of about equal work
+     * (one per server plus one per hosted VM).
+     */
+    std::vector<size_t> cut;
+    /** Set when placement or a trace changed since the last build. */
+    bool stale = true;
 };
 
 } // namespace sim

@@ -96,12 +96,15 @@ ClusterFeed::beginTick(size_t tick)
                                                    exported_.overflow));
             obs_bad_stream_->add(static_cast<double>(
                 in->bad_stream - exported_.bad_stream));
+            obs_bad_value_->add(static_cast<double>(
+                in->bad_value - exported_.bad_value));
             obs_timeouts_->add(static_cast<double>(in->timeouts -
                                                    exported_.timeouts));
             exported_.late = in->late;
             exported_.duplicates = in->duplicates;
             exported_.overflow = in->overflow;
             exported_.bad_stream = in->bad_stream;
+            exported_.bad_value = in->bad_value;
             exported_.timeouts = in->timeouts;
             for (uint32_t lag : in->lag_samples)
                 obs_lag_->observe(static_cast<double>(lag));
@@ -191,6 +194,9 @@ ClusterFeed::attachObs(obs::MetricsRegistry *metrics)
     obs_bad_stream_ = metrics->counter(
         "nps_stream_bad_stream_samples_total", label,
         "Samples naming a stream that does not exist (dropped)");
+    obs_bad_value_ = metrics->counter(
+        "nps_stream_bad_value_samples_total", label,
+        "Samples whose demand is negative or not finite (dropped)");
     obs_timeouts_ = metrics->counter(
         "nps_stream_tick_timeouts_total", label,
         "Ticks delivered on timeout instead of a barrier frame");

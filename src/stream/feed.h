@@ -137,6 +137,7 @@ class ClusterFeed : public sim::TickSource, public fault::StreamHealth
     obs::Counter *obs_duplicates_ = nullptr;
     obs::Counter *obs_overflow_ = nullptr;
     obs::Counter *obs_bad_stream_ = nullptr;
+    obs::Counter *obs_bad_value_ = nullptr;
     obs::Counter *obs_timeouts_ = nullptr;
     obs::Counter *obs_frames_ = nullptr;
     obs::Counter *obs_resync_ = nullptr;

@@ -35,6 +35,7 @@ struct IngestStats
     uint64_t duplicates = 0; //!< repeated (tick, stream) pairs
     uint64_t overflow = 0;   //!< samples beyond the pending window
     uint64_t bad_stream = 0; //!< samples naming a stream that doesn't exist
+    uint64_t bad_value = 0;  //!< samples whose demand is < 0 or not finite
     uint64_t timeouts = 0;   //!< ticks delivered on timeout, not barrier
     std::vector<uint32_t> lag_samples; //!< per-sample arrival lead (ticks)
 };

@@ -1,6 +1,7 @@
 #include "stream/stream_source.h"
 
 #include <cerrno>
+#include <cmath>
 #include <poll.h>
 #include <unistd.h>
 
@@ -84,6 +85,13 @@ StreamSource::drainFrames()
         case FrameType::Sample: {
             if (f.sample.stream >= expected_) {
                 ++ingest_.bad_stream;
+                break;
+            }
+            // Fail closed: a negative or non-finite demand would abort
+            // the plant or poison every sum. Dropped, the stream misses
+            // this tick and the feed's hold/fallback ladder serves it.
+            if (!std::isfinite(f.sample.demand) || f.sample.demand < 0.0) {
+                ++ingest_.bad_value;
                 break;
             }
             if (f.sample.tick < cursor_) {

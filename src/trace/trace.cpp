@@ -1,6 +1,7 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/logging.h"
@@ -43,6 +44,9 @@ UtilizationTrace::UtilizationTrace(std::string name, WorkloadClass wc,
       data_(samples_->data()), size_(samples_->size())
 {
     for (double s : *samples_) {
+        if (!std::isfinite(s))
+            util::fatal("UtilizationTrace %s: non-finite demand sample",
+                        name_.c_str());
         if (s < 0.0)
             util::fatal("UtilizationTrace %s: negative demand sample",
                         name_.c_str());

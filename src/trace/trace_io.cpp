@@ -5,6 +5,7 @@
 
 #include "util/csv.h"
 #include "util/logging.h"
+#include "util/script.h"
 
 namespace nps {
 namespace trace {
@@ -83,12 +84,19 @@ parseTraces(const std::string &text)
             cur_class = workloadClassFromName(row[1]);
         }
         size_t expect_tick = cur_samples.size();
-        unsigned long tick = std::stoul(row[2]);
+        uint64_t tick = 0;
+        if (!util::parseUnsigned(row[2], tick))
+            util::fatal("parseTraces: row %zu: bad tick '%s' (want a "
+                        "non-negative integer)", r, row[2].c_str());
         if (tick != expect_tick)
-            util::fatal("parseTraces: trace %s: tick %lu out of order "
-                        "(expected %zu)", cur_name.c_str(), tick,
-                        expect_tick);
-        cur_samples.push_back(std::stod(row[3]));
+            util::fatal("parseTraces: trace %s: tick %llu out of order "
+                        "(expected %zu)", cur_name.c_str(),
+                        static_cast<unsigned long long>(tick), expect_tick);
+        double sample = 0.0;
+        if (!util::parseNumber(row[3], sample))
+            util::fatal("parseTraces: row %zu: bad utilization '%s' (want "
+                        "a finite number)", r, row[3].c_str());
+        cur_samples.push_back(sample);
     }
     flush();
     return out;

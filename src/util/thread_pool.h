@@ -28,12 +28,12 @@ namespace nps {
 namespace util {
 
 /**
- * The static partition every sharded phase uses: @p items split into
+ * The static partition the sharded phases use: @p items split into
  * @p shards contiguous blocks of ceil(items / shards) (at least 1), the
- * last block short. Every phase of a tick — the engine's per-server
- * actors and kernels, Cluster::evaluateTick, FleetGen's trace fill —
- * partitions with this one helper, so a worker touches the same items
- * in every phase.
+ * last block short. The engine's per-server actors and kernels and
+ * FleetGen's trace fill partition with this one helper, so a worker
+ * touches the same items in every actor phase. Cluster::evaluateTick
+ * cuts its contiguous blocks by work instead (docs/PARALLELISM.md).
  */
 class ShardRange
 {

@@ -2,10 +2,10 @@
  * @file
  * StreamSource ingest policy and ClusterFeed staging policy, in
  * process over socketpairs: barrier-complete delivery, the
- * late/duplicate/overflow/bad-stream tallies, timeout-degraded partial
- * ticks, end-of-feed semantics (clean bye vs. feeder killed mid-frame),
- * and the hold-last → conservative-fallback missing-sample ladder
- * (docs/STREAMING.md).
+ * late/duplicate/overflow/bad-stream/bad-value tallies,
+ * timeout-degraded partial ticks, end-of-feed semantics (clean bye vs.
+ * feeder killed mid-frame), and the hold-last → conservative-fallback
+ * missing-sample ladder (docs/STREAMING.md).
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/fixtures.h"
+#include "core/coordinator.h"
+#include "core/scenarios.h"
 #include "stream/feed.h"
 #include "stream/frame.h"
 #include "stream/net.h"
@@ -161,6 +165,126 @@ TEST(StreamSource, CountsDuplicatesLateOverflowAndBadStreams)
     EXPECT_EQ(src.ingest()->late, 1u);
     EXPECT_EQ(src.ingest()->overflow, 1u);
     EXPECT_EQ(src.ingest()->samples, 1u); // only tick 0's stream-0 value
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(StreamSource, DropsNegativeAndNonFiniteDemand)
+{
+    // Tick 0: NaN on stream 0, a good value on stream 1. Tick 1: -1
+    // and +inf. Tick 2: a good value, then a NaN duplicate of it, which
+    // must not overwrite it.
+    Pipe p;
+    FrameWriter fw = helloFor(2);
+    auto sample = [&fw](uint64_t tick, uint32_t stream, double demand) {
+        SampleFrame s;
+        s.tick = tick;
+        s.stream = stream;
+        s.demand = demand;
+        fw.sample(s);
+    };
+    sample(0, 0, kNaN);
+    sample(0, 1, 0.4);
+    fw.tickEnd(0);
+    sample(1, 0, -1.0);
+    sample(1, 1, kInf);
+    fw.tickEnd(1);
+    sample(2, 0, 0.3);
+    sample(2, 0, kNaN);
+    sample(2, 1, -kInf);
+    fw.tickEnd(2);
+    fw.bye(3);
+    p.send(fw);
+    p.closeWriter();
+
+    StreamSource src(p.r, 2, quickConfig());
+    TickBatch b;
+    ASSERT_TRUE(src.pull(0, b));
+    EXPECT_FALSE(b.present[0]);
+    EXPECT_TRUE(b.present[1]);
+    EXPECT_EQ(b.demand[1], 0.4);
+    ASSERT_TRUE(src.pull(1, b));
+    EXPECT_EQ(b.samples, 0u);
+    ASSERT_TRUE(src.pull(2, b));
+    EXPECT_EQ(b.samples, 1u);
+    EXPECT_TRUE(b.present[0]);
+    EXPECT_EQ(b.demand[0], 0.3);
+    EXPECT_FALSE(b.present[1]);
+    EXPECT_FALSE(src.pull(3, b));
+
+    const IngestStats &in = *src.ingest();
+    EXPECT_EQ(in.bad_value, 5u);
+    EXPECT_EQ(in.samples, 2u);
+    EXPECT_EQ(in.duplicates, 0u);
+    EXPECT_EQ(in.bad_stream, 0u);
+}
+
+TEST(StreamSource, BadDemandIsHeldOrReplacedAndTheRunStaysFinite)
+{
+    // A coordinated run (VMC on, epoch every 10 ticks) fed over a
+    // socket. VM 0 sends NaN, -1 and +inf over ticks 5-9; VM 1 sends
+    // +inf from tick 12 on. Without the drop, NaN reaches the packer
+    // and -1 aborts the plant; with it, hold-last bridges the first
+    // three misses of a stream and the fallback serves the rest.
+    core::CoordinationConfig cfg = core::coordinatedConfig();
+    cfg.threads = 2;
+    cfg.vmc.period = 10;
+    cfg.stream.enabled = true;
+    cfg.stream.hold_last = true;
+    cfg.stream.hold_ticks = 3;
+    cfg.stream.fallback_util = 0.2;
+    cfg.stream.timeout_ms = 0;
+    const size_t vms = 6, ticks = 30;
+    core::Coordinator coord(cfg, sim::Topology{6, 1, 4},
+                            model::bladeA(), nps_test::flatTraces(vms, 0.3));
+
+    Pipe p;
+    FrameWriter fw = helloFor(static_cast<uint32_t>(vms), 0, ticks);
+    const double bad[] = {kNaN, -1.0, kInf, kNaN, -1.0};
+    size_t bad_frames = 0;
+    for (uint64_t t = 0; t < ticks; ++t) {
+        for (uint32_t vm = 0; vm < vms; ++vm) {
+            SampleFrame s;
+            s.tick = t;
+            s.stream = vm;
+            s.demand = 0.3 + 0.01 * static_cast<double>(vm);
+            if (vm == 0 && t >= 5 && t < 10)
+                s.demand = bad[t - 5];
+            if (vm == 1 && t >= 12)
+                s.demand = kInf;
+            bad_frames += std::isfinite(s.demand) && s.demand >= 0.0 ? 0 : 1;
+            fw.sample(s);
+        }
+        fw.tickEnd(t);
+    }
+    fw.bye(ticks);
+    p.send(fw);
+    p.closeWriter();
+
+    StreamSource src(p.r, vms, cfg.stream);
+    ClusterFeed feed(coord.cluster(), src, cfg.stream);
+    coord.engine().setTickSource(&feed);
+    coord.attachStreamHealth(&feed);
+    EXPECT_EQ(coord.run(ticks), ticks);
+
+    EXPECT_EQ(src.ingest()->bad_value, bad_frames);
+    const ClusterFeed::Stats &st = feed.stats();
+    EXPECT_EQ(st.missing_samples, bad_frames);
+    // VM 0: 5 misses = 3 held + 2 fallback; VM 1: 18 = 3 + 15.
+    EXPECT_EQ(st.held_samples, 6u);
+    EXPECT_EQ(st.fallback_samples, 17u);
+    EXPECT_EQ(coord.cluster().stagedDemand()[1], 0.2);
+
+    const sim::MetricsSummary m = coord.summary();
+    EXPECT_EQ(m.ticks, ticks);
+    for (double v : {m.energy, m.mean_power, m.peak_power, m.perf_loss,
+                     m.sm_violation, m.em_violation, m.gm_violation})
+        EXPECT_TRUE(std::isfinite(v)) << v;
+    EXPECT_GT(m.mean_power, 0.0);
+    const sim::VmStateSoA &vs = coord.cluster().vmState();
+    for (size_t j = 0; j < vms; ++j)
+        EXPECT_TRUE(std::isfinite(vs.last_served[j])) << "VM " << j;
 }
 
 TEST(StreamSource, TimeoutDeliversPartialTick)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "trace/trace.h"
 
 namespace {
@@ -71,6 +73,17 @@ TEST(Trace, MovedFromIsEmpty)
 TEST(Trace, NegativeSampleDies)
 {
     EXPECT_DEATH(make({0.1, -0.2}), "negative");
+}
+
+TEST(Trace, NonFiniteSampleDies)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(make({0.1, std::numeric_limits<double>::quiet_NaN()}),
+                 "non-finite");
+    EXPECT_DEATH(make({inf}), "non-finite");
+    EXPECT_DEATH(make({0.2, -inf}), "non-finite");
+    // Scaling cannot smuggle one in either.
+    EXPECT_DEATH(make({1e300}).scaled(1e10), "non-finite");
 }
 
 TEST(Trace, MeanAndPeak)

@@ -89,6 +89,30 @@ TEST(TraceIo, OutOfOrderTicksDie)
     EXPECT_DEATH(parseTraces(text), "out of order");
 }
 
+TEST(TraceIo, MalformedNumbersDieNamingTheRow)
+{
+    // Numbers are read whole: no NaN/inf, no trailing junk, no sign on
+    // a tick; the diagnostic names the offending row.
+    const std::string head = "name,class,tick,util\n"
+                             "a,web,0,0.1\n";
+    EXPECT_DEATH(parseTraces(head + "a,web,1,nan\n"),
+                 "row 2: bad utilization 'nan'");
+    EXPECT_DEATH(parseTraces(head + "a,web,1,inf\n"),
+                 "row 2: bad utilization 'inf'");
+    EXPECT_DEATH(parseTraces(head + "a,web,1,0.5x\n"),
+                 "row 2: bad utilization '0.5x'");
+    EXPECT_DEATH(parseTraces(head + "a,web,1,\n"),
+                 "row 2: bad utilization ''");
+    EXPECT_DEATH(parseTraces(head + "a,web,abc,0.2\n"),
+                 "row 2: bad tick 'abc'");
+    EXPECT_DEATH(parseTraces(head + "a,web,-1,0.2\n"),
+                 "row 2: bad tick '-1'");
+    EXPECT_DEATH(parseTraces(head + "a,web,1.0,0.2\n"),
+                 "row 2: bad tick '1.0'");
+    // Well-formed but negative demand is the trace's own refusal.
+    EXPECT_DEATH(parseTraces(head + "a,web,1,-0.5\n"), "negative");
+}
+
 TEST(TraceIo, UnknownClassDies)
 {
     std::string text = "name,class,tick,util\n"

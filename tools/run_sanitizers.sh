@@ -47,10 +47,14 @@ build_root="${1:-${repo_root}/build-san}"
 # netem equivalence suite that forks sanitized npsim/npsnode trees),
 # the strict token readers every script grammar and numeric CLI flag
 # goes through (their edge cases are exactly UBSan's overflow territory),
-# and the consolidation packer (its segment-tree and ordered-index
+# the consolidation packer (its segment-tree and ordered-index
 # arithmetic, checked against the linear-scan oracle over random and
-# 2000-bin instances, and the VMC that drives it over the VM arrays).
-test_regex='controllers/test_binpack_fuzz|controllers/test_vm_controller|sim/test_engine|sim/test_engine_fuzz|sim/test_fleetgen|integration/test_determinism|integration/test_fleet_scale|integration/test_fleet_kernels|golden/test_golden_master|fault/test_injector|fault/test_chaos|fault/test_degradation|ckpt/test_snapshot|ckpt/test_resume|ckpt/test_chaos_kill|bus/test_link_replay|bus/test_transport_seq|bus/test_seq_wraparound|controllers/test_lease_boundary|stream/test_frame|stream/test_frame_fuzz|stream/test_dist_frames|stream/test_stream_source|stream/test_silence_equiv|stream/test_replay_equiv|stream/test_listen_backoff|core/test_plan_io|integration/test_dist_equiv|integration/test_netem_equiv|netem/test_netem_schedule|netem/test_netem_transport|netem/test_netem_campaign|obs/test_live_agg|obs/test_live_http|obs/test_cascade|util/test_script'
+# 2000-bin instances, and the VMC that drives it over the VM arrays),
+# and the plant kernel (the cluster suite, and the differential suite
+# that checks Cluster::evaluateTick against the per-object walk at pool
+# sizes 1-8, where each work-balanced shard writes its own range of the
+# placement columns' demand column).
+test_regex='sim/test_cluster|sim/test_plant_fuzz|controllers/test_binpack_fuzz|controllers/test_vm_controller|sim/test_engine|sim/test_engine_fuzz|sim/test_fleetgen|integration/test_determinism|integration/test_fleet_scale|integration/test_fleet_kernels|golden/test_golden_master|fault/test_injector|fault/test_chaos|fault/test_degradation|ckpt/test_snapshot|ckpt/test_resume|ckpt/test_chaos_kill|bus/test_link_replay|bus/test_transport_seq|bus/test_seq_wraparound|controllers/test_lease_boundary|stream/test_frame|stream/test_frame_fuzz|stream/test_dist_frames|stream/test_stream_source|stream/test_silence_equiv|stream/test_replay_equiv|stream/test_listen_backoff|core/test_plan_io|integration/test_dist_equiv|integration/test_netem_equiv|netem/test_netem_schedule|netem/test_netem_transport|netem/test_netem_campaign|obs/test_live_agg|obs/test_live_http|obs/test_cascade|util/test_script'
 
 run_one() {
     local label="$1"
