@@ -9,8 +9,8 @@
  *
  * Each ControlLink that is attached to the log owns a private per-link
  * event buffer, registered once at wiring time (single-threaded). At
- * runtime a link appends only to its own buffer, so shardable senders
- * (SMs, CAPs, MMs) can mirror from worker threads without contention or
+ * runtime a link appends only to its own buffer, so kernel slots (SMs,
+ * CAPs, MMs) can mirror from worker threads without contention or
  * nondeterminism; merged() produces one deterministic, thread-count-
  * independent ordering afterwards by sorting on (tick, link name, seq).
  * The trace id rides across process boundaries inside the NPSF ctrl

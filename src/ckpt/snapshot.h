@@ -45,9 +45,11 @@ namespace ckpt {
  * skip runtime (nps_rt_*) families; v3 added the trace id to every
  * control-log event; v4 replaced the per-server EC/SM actors in the
  * engine roster with one kernel actor per kind (the ec/<i> and sm/<i>
- * sections keep their bytes).
+ * sections keep their bytes); v5 did the same for the CAP and MM
+ * actors (CAP/fleet, MM/fleet; the cap/<i> and mm/<i> sections keep
+ * their bytes).
  */
-inline constexpr uint32_t kFormatVersion = 4;
+inline constexpr uint32_t kFormatVersion = 5;
 
 /**
  * CRC32 (IEEE 802.3 polynomial) of a byte range. Thin alias of

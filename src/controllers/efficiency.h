@@ -161,7 +161,7 @@ using EcKernel = sim::KernelActor<EcStateSoA>;
 /**
  * The per-server efficiency controller: a view of one EcStateSoA slot.
  */
-class EfficiencyController : public sim::Actor
+class EfficiencyController
 {
   public:
     /** Tunable parameters (defaults follow Figure 5). */
@@ -179,17 +179,14 @@ class EfficiencyController : public sim::Actor
     /** View of slot @p slot of a shared (fleet) store. */
     EfficiencyController(std::shared_ptr<EcStateSoA> store, uint32_t slot);
 
-    /// @name sim::Actor
-    /// @{
-    const std::string &name() const override { return name_; }
-    unsigned period() const override { return store_->period(); }
-    void step(size_t tick) override { store_->step(tick, slot_, slot_ + 1); }
-    /** Shardable: touches only its own server. */
-    long shardKey() const override
-    {
-        return static_cast<long>(server().id());
-    }
-    /// @}
+    /** Diagnostic name, "EC/<server id>". */
+    const std::string &name() const { return name_; }
+
+    /** Control interval T_ec. */
+    unsigned period() const { return store_->period(); }
+
+    /** One control step of this slot at @p tick. */
+    void step(size_t tick) { store_->step(tick, slot_, slot_ + 1); }
 
     /// @name Reference channel (Figure 3)
     /// @{

@@ -28,7 +28,7 @@ namespace controllers {
 /**
  * The per-server electrical capper.
  */
-class ElectricalCapper : public sim::Actor, public ViolationTracker
+class ElectricalCapper : public ViolationTracker
 {
   public:
     /** Tunable parameters. */
@@ -51,18 +51,17 @@ class ElectricalCapper : public sim::Actor, public ViolationTracker
     ElectricalCapper(sim::Server &server, double limit_watts,
                      const Params &params);
 
-    /// @name sim::Actor
-    /// @{
-    const std::string &name() const override { return name_; }
-    unsigned period() const override { return params_.period; }
-    void observe(size_t tick) override;
-    void step(size_t tick) override;
-    /** Shardable: touches only its own server. */
-    long shardKey() const override
-    {
-        return static_cast<long>(server_.id());
-    }
-    /// @}
+    /** Diagnostic name, "CAP/<server id>". */
+    const std::string &name() const { return name_; }
+
+    /** Control interval. */
+    unsigned period() const { return params_.period; }
+
+    /** Per-tick violation bookkeeping (and outage edges). */
+    void observe(size_t tick);
+
+    /** One control step at @p tick. */
+    void step(size_t tick);
 
     /** The electrical limit (watts). */
     double limit() const { return limit_; }
@@ -149,6 +148,12 @@ class ElectricalCapper : public sim::Actor, public ViolationTracker
     obs::Counter *obs_engagements_ = nullptr;
     obs::TraceChannel *obs_trace_ = nullptr;
 };
+
+/**
+ * The fleet's CAP kernel actor, named "CAP/fleet": slot i runs server
+ * i's capper, which touches only its own server.
+ */
+using CapKernel = sim::KernelActor<sim::ObjectSlots<ElectricalCapper>>;
 
 } // namespace controllers
 } // namespace nps

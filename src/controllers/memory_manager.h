@@ -36,7 +36,7 @@ namespace controllers {
 /**
  * The per-server memory low-power controller.
  */
-class MemoryManager : public sim::Actor
+class MemoryManager
 {
   public:
     /** Tunable parameters. */
@@ -54,17 +54,17 @@ class MemoryManager : public sim::Actor
     /** @param server the managed server; must outlive the controller. */
     MemoryManager(sim::Server &server, const Params &params);
 
-    /// @name sim::Actor
-    /// @{
-    const std::string &name() const override { return name_; }
-    unsigned period() const override { return params_.period; }
-    void step(size_t tick) override;
-    /** Shardable: touches only its own server. */
-    long shardKey() const override
-    {
-        return static_cast<long>(server_.id());
-    }
-    /// @}
+    /** Diagnostic name, "MM/<server id>". */
+    const std::string &name() const { return name_; }
+
+    /** Control interval. */
+    unsigned period() const { return params_.period; }
+
+    /** The MM observes nothing between steps. */
+    void observe(size_t tick) { (void)tick; }
+
+    /** One control step at @p tick. */
+    void step(size_t tick);
 
     /** Active parameters. */
     const Params &params() const { return params_; }
@@ -131,6 +131,12 @@ class MemoryManager : public sim::Actor
     obs::Counter *obs_engagements_ = nullptr;
     obs::TraceChannel *obs_trace_ = nullptr;
 };
+
+/**
+ * The fleet's MM kernel actor, named "MM/fleet": slot i runs server
+ * i's memory manager, which touches only its own server.
+ */
+using MmKernel = sim::KernelActor<sim::ObjectSlots<MemoryManager>>;
 
 } // namespace controllers
 } // namespace nps

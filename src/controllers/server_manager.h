@@ -244,7 +244,7 @@ using SmKernel = sim::KernelActor<SmStateSoA>;
 /**
  * The per-server power capper: a view of one SmStateSoA slot.
  */
-class ServerManager : public sim::Actor, public ViolationSource
+class ServerManager : public ViolationSource
 {
   public:
     /** Operating mode. */
@@ -267,21 +267,17 @@ class ServerManager : public sim::Actor, public ViolationSource
     /** View of slot @p slot of a shared (fleet) store. */
     ServerManager(std::shared_ptr<SmStateSoA> store, uint32_t slot);
 
-    /// @name sim::Actor
-    /// @{
-    const std::string &name() const override { return name_; }
-    unsigned period() const override { return store_->period(); }
-    void observe(size_t tick) override
-    {
-        store_->observe(tick, slot_, slot_ + 1);
-    }
-    void step(size_t tick) override { store_->step(tick, slot_, slot_ + 1); }
-    /** Shardable: touches only its own server and its nested EC. */
-    long shardKey() const override
-    {
-        return static_cast<long>(server().id());
-    }
-    /// @}
+    /** Diagnostic name, "SM/<server id>". */
+    const std::string &name() const { return name_; }
+
+    /** Control interval T_sm. */
+    unsigned period() const { return store_->period(); }
+
+    /** Per-tick violation bookkeeping of this slot. */
+    void observe(size_t tick) { store_->observe(tick, slot_, slot_ + 1); }
+
+    /** One control step of this slot at @p tick. */
+    void step(size_t tick) { store_->step(tick, slot_, slot_ + 1); }
 
     /// @name Budget channel (driven by the EM / GM)
     /// @{

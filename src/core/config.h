@@ -82,7 +82,7 @@ struct CoordinationConfig
 
     /**
      * Worker threads for the tick engine: 0 picks the hardware
-     * concurrency, 1 forces the legacy single-threaded path. Purely a
+     * concurrency, 1 runs one shard on the engine thread. Purely a
      * throughput knob — simulation results are bit-identical for every
      * value (docs/PARALLELISM.md).
      */

@@ -162,17 +162,14 @@ configFromIni(const IniDocument &ini)
     cfg.alpha_m = ini.getDouble("deployment", "alpha_m", cfg.alpha_m);
     cfg.cap_limit_frac = ini.getDouble("deployment", "cap_limit_frac",
                                        cfg.cap_limit_frac);
-    cfg.threads = static_cast<unsigned>(
-        ini.getInt("deployment", "threads",
-                   static_cast<long>(cfg.threads)));
+    cfg.threads = ini.getUnsigned("deployment", "threads", cfg.threads);
     cfg.log_control_plane = ini.getBool("deployment",
                                         "log_control_plane",
                                         cfg.log_control_plane);
 
     cfg.ec.lambda = ini.getDouble("ec", "lambda", cfg.ec.lambda);
     cfg.ec.r_ref = ini.getDouble("ec", "r_ref", cfg.ec.r_ref);
-    cfg.ec.period = static_cast<unsigned>(
-        ini.getInt("ec", "period", cfg.ec.period));
+    cfg.ec.period = ini.getUnsigned("ec", "period", cfg.ec.period);
     cfg.ec.quantize_up = ini.getBool("ec", "quantize_up",
                                      cfg.ec.quantize_up);
     std::string objective = ini.get("ec", "objective", "tracking");
@@ -189,61 +186,54 @@ configFromIni(const IniDocument &ini)
                                      cfg.sm.r_ref_min);
     cfg.sm.r_ref_max = ini.getDouble("sm", "r_ref_max",
                                      cfg.sm.r_ref_max);
-    cfg.sm.period = static_cast<unsigned>(
-        ini.getInt("sm", "period", cfg.sm.period));
+    cfg.sm.period = ini.getUnsigned("sm", "period", cfg.sm.period);
     cfg.sm.unthrottle_margin = ini.getDouble(
         "sm", "unthrottle_margin", cfg.sm.unthrottle_margin);
     cfg.sm.release_gain_ratio = ini.getDouble(
         "sm", "release_gain_ratio", cfg.sm.release_gain_ratio);
-    cfg.sm.lease_ticks = static_cast<unsigned>(
-        ini.getInt("sm", "lease_ticks", cfg.sm.lease_ticks));
+    cfg.sm.lease_ticks =
+        ini.getUnsigned("sm", "lease_ticks", cfg.sm.lease_ticks);
     cfg.sm.lease_fallback = ini.getDouble("sm", "lease_fallback",
                                           cfg.sm.lease_fallback);
 
-    cfg.em.period = static_cast<unsigned>(
-        ini.getInt("em", "period", cfg.em.period));
+    cfg.em.period = ini.getUnsigned("em", "period", cfg.em.period);
     if (ini.has("em", "policy"))
         cfg.em.policy = policyFromName(ini.get("em", "policy"));
     cfg.em.demand_horizon = ini.getDouble("em", "demand_horizon",
                                           cfg.em.demand_horizon);
     cfg.em.history_horizon = ini.getDouble("em", "history_horizon",
                                            cfg.em.history_horizon);
-    cfg.em.seed = static_cast<uint64_t>(
-        ini.getInt("em", "seed", static_cast<long>(cfg.em.seed)));
-    cfg.em.lease_ticks = static_cast<unsigned>(
-        ini.getInt("em", "lease_ticks", cfg.em.lease_ticks));
+    cfg.em.seed = ini.getUnsigned("em", "seed", cfg.em.seed);
+    cfg.em.lease_ticks =
+        ini.getUnsigned("em", "lease_ticks", cfg.em.lease_ticks);
     cfg.em.lease_fallback = ini.getDouble("em", "lease_fallback",
                                           cfg.em.lease_fallback);
 
-    cfg.gm.period = static_cast<unsigned>(
-        ini.getInt("gm", "period", cfg.gm.period));
+    cfg.gm.period = ini.getUnsigned("gm", "period", cfg.gm.period);
     if (ini.has("gm", "policy"))
         cfg.gm.policy = policyFromName(ini.get("gm", "policy"));
     cfg.gm.demand_horizon = ini.getDouble("gm", "demand_horizon",
                                           cfg.gm.demand_horizon);
     cfg.gm.history_horizon = ini.getDouble("gm", "history_horizon",
                                            cfg.gm.history_horizon);
-    cfg.gm.seed = static_cast<uint64_t>(
-        ini.getInt("gm", "seed", static_cast<long>(cfg.gm.seed)));
-    cfg.gm.lease_ticks = static_cast<unsigned>(
-        ini.getInt("gm", "lease_ticks", cfg.gm.lease_ticks));
+    cfg.gm.seed = ini.getUnsigned("gm", "seed", cfg.gm.seed);
+    cfg.gm.lease_ticks =
+        ini.getUnsigned("gm", "lease_ticks", cfg.gm.lease_ticks);
     cfg.gm.lease_fallback = ini.getDouble("gm", "lease_fallback",
                                           cfg.gm.lease_fallback);
 
     auto &vmc = cfg.vmc;
-    vmc.period = static_cast<unsigned>(
-        ini.getInt("vmc", "period", vmc.period));
+    vmc.period = ini.getUnsigned("vmc", "period", vmc.period);
     vmc.allow_power_off = ini.getBool("vmc", "allow_power_off",
                                       vmc.allow_power_off);
     vmc.capacity_target = ini.getDouble("vmc", "capacity_target",
                                         vmc.capacity_target);
-    vmc.migration_ticks = static_cast<size_t>(ini.getInt(
-        "vmc", "migration_ticks",
-        static_cast<long>(vmc.migration_ticks)));
+    vmc.migration_ticks =
+        ini.getUnsigned("vmc", "migration_ticks", vmc.migration_ticks);
     vmc.buffer_gain = ini.getDouble("vmc", "buffer_gain",
                                     vmc.buffer_gain);
-    vmc.gain_ref_period = static_cast<unsigned>(ini.getInt(
-        "vmc", "gain_ref_period", vmc.gain_ref_period));
+    vmc.gain_ref_period =
+        ini.getUnsigned("vmc", "gain_ref_period", vmc.gain_ref_period);
     vmc.buffer_decay = ini.getDouble("vmc", "buffer_decay",
                                      vmc.buffer_decay);
     vmc.buffer_max = ini.getDouble("vmc", "buffer_max", vmc.buffer_max);
@@ -270,19 +260,17 @@ configFromIni(const IniDocument &ini)
     vmc.forecast.beta = ini.getDouble("vmc", "forecast_beta",
                                       vmc.forecast.beta);
 
-    cfg.cap.period = static_cast<unsigned>(
-        ini.getInt("cap", "period", cfg.cap.period));
+    cfg.cap.period = ini.getUnsigned("cap", "period", cfg.cap.period);
     cfg.cap.release_margin = ini.getDouble("cap", "release_margin",
                                            cfg.cap.release_margin);
 
-    cfg.mem.period = static_cast<unsigned>(
-        ini.getInt("mem", "period", cfg.mem.period));
+    cfg.mem.period = ini.getUnsigned("mem", "period", cfg.mem.period);
     cfg.mem.engage_below = ini.getDouble("mem", "engage_below",
                                          cfg.mem.engage_below);
     cfg.mem.release_above = ini.getDouble("mem", "release_above",
                                           cfg.mem.release_above);
-    cfg.mem.engage_patience = static_cast<unsigned>(ini.getInt(
-        "mem", "engage_patience", cfg.mem.engage_patience));
+    cfg.mem.engage_patience =
+        ini.getUnsigned("mem", "engage_patience", cfg.mem.engage_patience);
 
     cfg.budgets.grp_off_frac = ini.getDouble(
         "budgets", "group_off", cfg.budgets.grp_off_frac);
@@ -295,15 +283,15 @@ configFromIni(const IniDocument &ini)
     ob.metrics = ini.getBool("obs", "metrics", ob.metrics);
     ob.trace = ini.getBool("obs", "trace", ob.trace);
     ob.trace_filter = ini.get("obs", "trace_filter", ob.trace_filter);
-    ob.trace_capacity = static_cast<unsigned>(ini.getInt(
-        "obs", "trace_capacity", static_cast<long>(ob.trace_capacity)));
+    ob.trace_capacity =
+        ini.getUnsigned("obs", "trace_capacity", ob.trace_capacity);
     ob.profile = ini.getBool("obs", "profile", ob.profile);
     ob.cascade = ini.getBool("obs", "cascade", ob.cascade);
     ob.http = ini.get("obs", "http", ob.http);
-    ob.http_linger_ms = static_cast<unsigned>(ini.getInt(
-        "obs", "http_linger_ms", static_cast<long>(ob.http_linger_ms)));
-    ob.publish_every = static_cast<unsigned>(ini.getInt(
-        "obs", "publish_every", static_cast<long>(ob.publish_every)));
+    ob.http_linger_ms =
+        ini.getUnsigned("obs", "http_linger_ms", ob.http_linger_ms);
+    ob.publish_every =
+        ini.getUnsigned("obs", "publish_every", ob.publish_every);
     if (ob.publish_every == 0)
         util::fatal("config: [obs] publish_every must be at least 1");
     if (!ob.http.empty() && !ob.metrics)
@@ -312,57 +300,42 @@ configFromIni(const IniDocument &ini)
 
     auto &fl = cfg.faults;
     fl.enabled = ini.getBool("faults", "enabled", fl.enabled);
-    fl.seed = static_cast<uint64_t>(
-        ini.getInt("faults", "seed", static_cast<long>(fl.seed)));
+    fl.seed = ini.getUnsigned("faults", "seed", fl.seed);
     fl.script = ini.get("faults", "script", fl.script);
     if (!fl.script.empty()) {
         // Validate eagerly so a typo dies at load, not mid-run.
         fault::FaultSchedule::parse(fl.script);
     }
     auto &rnd = fl.random;
-    rnd.horizon = static_cast<size_t>(ini.getInt(
-        "faults", "horizon", static_cast<long>(rnd.horizon)));
-    rnd.outages = static_cast<unsigned>(
-        ini.getInt("faults", "outages", rnd.outages));
-    rnd.outage_len = static_cast<unsigned>(
-        ini.getInt("faults", "outage_len", rnd.outage_len));
-    rnd.drops = static_cast<unsigned>(
-        ini.getInt("faults", "drops", rnd.drops));
-    rnd.drop_len = static_cast<unsigned>(
-        ini.getInt("faults", "drop_len", rnd.drop_len));
+    rnd.horizon = ini.getUnsigned("faults", "horizon", rnd.horizon);
+    rnd.outages = ini.getUnsigned("faults", "outages", rnd.outages);
+    rnd.outage_len = ini.getUnsigned("faults", "outage_len", rnd.outage_len);
+    rnd.drops = ini.getUnsigned("faults", "drops", rnd.drops);
+    rnd.drop_len = ini.getUnsigned("faults", "drop_len", rnd.drop_len);
     rnd.drop_prob = ini.getDouble("faults", "drop_prob", rnd.drop_prob);
-    rnd.stales = static_cast<unsigned>(
-        ini.getInt("faults", "stales", rnd.stales));
-    rnd.stale_len = static_cast<unsigned>(
-        ini.getInt("faults", "stale_len", rnd.stale_len));
-    rnd.stucks = static_cast<unsigned>(
-        ini.getInt("faults", "stucks", rnd.stucks));
-    rnd.stuck_len = static_cast<unsigned>(
-        ini.getInt("faults", "stuck_len", rnd.stuck_len));
-    rnd.noises = static_cast<unsigned>(
-        ini.getInt("faults", "noises", rnd.noises));
-    rnd.noise_len = static_cast<unsigned>(
-        ini.getInt("faults", "noise_len", rnd.noise_len));
+    rnd.stales = ini.getUnsigned("faults", "stales", rnd.stales);
+    rnd.stale_len = ini.getUnsigned("faults", "stale_len", rnd.stale_len);
+    rnd.stucks = ini.getUnsigned("faults", "stucks", rnd.stucks);
+    rnd.stuck_len = ini.getUnsigned("faults", "stuck_len", rnd.stuck_len);
+    rnd.noises = ini.getUnsigned("faults", "noises", rnd.noises);
+    rnd.noise_len = ini.getUnsigned("faults", "noise_len", rnd.noise_len);
     rnd.noise_sigma = ini.getDouble("faults", "noise_sigma",
                                     rnd.noise_sigma);
-    rnd.freezes = static_cast<unsigned>(
-        ini.getInt("faults", "freezes", rnd.freezes));
-    rnd.freeze_len = static_cast<unsigned>(
-        ini.getInt("faults", "freeze_len", rnd.freeze_len));
+    rnd.freezes = ini.getUnsigned("faults", "freezes", rnd.freezes);
+    rnd.freeze_len = ini.getUnsigned("faults", "freeze_len", rnd.freeze_len);
 
     auto &st = cfg.stream;
     st.enabled = ini.getBool("stream", "enabled", st.enabled);
-    st.timeout_ms = static_cast<unsigned>(ini.getInt(
-        "stream", "timeout_ms", static_cast<long>(st.timeout_ms)));
-    st.max_pending = static_cast<unsigned>(ini.getInt(
-        "stream", "max_pending", static_cast<long>(st.max_pending)));
+    st.timeout_ms = ini.getUnsigned("stream", "timeout_ms", st.timeout_ms);
+    st.max_pending = ini.getUnsigned("stream", "max_pending", st.max_pending);
     st.hold_last = ini.getBool("stream", "hold_last", st.hold_last);
-    st.hold_ticks = static_cast<unsigned>(ini.getInt(
-        "stream", "hold_ticks", static_cast<long>(st.hold_ticks)));
+    st.hold_ticks = ini.getUnsigned("stream", "hold_ticks", st.hold_ticks);
     st.fallback_util = ini.getDouble("stream", "fallback_util",
                                      st.fallback_util);
     if (st.max_pending == 0)
         util::fatal("config: [stream] max_pending must be at least 1");
+    if (st.fallback_util < 0.0)
+        util::fatal("config: [stream] fallback_util must not be negative");
 
     return cfg;
 }
@@ -390,12 +363,12 @@ topologyFromIni(const IniDocument &ini)
     }
 
     sim::Topology topo;
-    topo.num_servers = static_cast<unsigned>(
-        ini.getInt("topology", "servers", topo.num_servers));
-    topo.num_enclosures = static_cast<unsigned>(
-        ini.getInt("topology", "enclosures", topo.num_enclosures));
-    topo.enclosure_size = static_cast<unsigned>(
-        ini.getInt("topology", "enclosure_size", topo.enclosure_size));
+    topo.num_servers =
+        ini.getUnsigned("topology", "servers", topo.num_servers);
+    topo.num_enclosures =
+        ini.getUnsigned("topology", "enclosures", topo.num_enclosures);
+    topo.enclosure_size =
+        ini.getUnsigned("topology", "enclosure_size", topo.enclosure_size);
     topo.tree = sim::Topology::parseTree(
         ini.get("topology", "tree", ""));
     topo.validate();

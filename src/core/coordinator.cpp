@@ -135,26 +135,34 @@ Coordinator::buildServerLevel()
             std::make_shared<controllers::SmKernel>("SM/fleet", store));
     }
 
-    // Optional electrical cappers, parallel to the ECs.
+    // Optional electrical cappers, parallel to the ECs: one capper per
+    // server, run by one kernel actor (slot == id).
     if (config_.enable_cap) {
+        caps_.reserve(cl.numServers());
         for (auto &srv : cl.servers()) {
-            auto cap = std::make_shared<controllers::ElectricalCapper>(
+            caps_.push_back(std::make_shared<controllers::ElectricalCapper>(
                 srv, config_.cap_limit_frac * srv.model().maxPower(),
-                config_.cap);
-            cap->setFaultInjector(inj);
-            caps_.push_back(cap);
-            engine_->addActor(cap);
+                config_.cap));
+            caps_.back()->setFaultInjector(inj);
         }
+        engine_->addActor(std::make_shared<controllers::CapKernel>(
+            "CAP/fleet",
+            std::make_shared<sim::ObjectSlots<controllers::ElectricalCapper>>(
+                caps_, config_.cap.period)));
     }
 
-    // Optional memory managers: the second per-server actuator.
+    // Optional memory managers: the second per-server actuator, the
+    // same way.
     if (config_.enable_mem) {
+        mems_.reserve(cl.numServers());
         for (auto &srv : cl.servers()) {
-            auto mm = std::make_shared<controllers::MemoryManager>(
-                srv, config_.mem);
-            mems_.push_back(mm);
-            engine_->addActor(mm);
+            mems_.push_back(std::make_shared<controllers::MemoryManager>(
+                srv, config_.mem));
         }
+        engine_->addActor(std::make_shared<controllers::MmKernel>(
+            "MM/fleet",
+            std::make_shared<sim::ObjectSlots<controllers::MemoryManager>>(
+                mems_, config_.mem.period)));
     }
 }
 

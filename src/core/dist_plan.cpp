@@ -274,65 +274,52 @@ planFromIni(const IniDocument &ini)
     if (plan.socket.empty())
         util::fatal("plan: [dist] socket is required (a path for unix, "
                     "a port for tcp)");
-    plan.timeout_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "timeout_ms", static_cast<long>(plan.timeout_ms)));
+    plan.timeout_ms = ini.getUnsigned("dist", "timeout_ms", plan.timeout_ms);
     if (plan.timeout_ms == 0)
         util::fatal("plan: [dist] timeout_ms must be positive");
-    plan.restart_after = static_cast<unsigned>(ini.getInt(
-        "dist", "restart_after", static_cast<long>(plan.restart_after)));
-    plan.hb_ms = static_cast<unsigned>(
-        ini.getInt("dist", "hb_ms", static_cast<long>(plan.hb_ms)));
-    plan.peer_timeout_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "peer_timeout_ms",
-        static_cast<long>(plan.peer_timeout_ms)));
+    plan.restart_after =
+        ini.getUnsigned("dist", "restart_after", plan.restart_after);
+    plan.hb_ms = ini.getUnsigned("dist", "hb_ms", plan.hb_ms);
+    plan.peer_timeout_ms =
+        ini.getUnsigned("dist", "peer_timeout_ms", plan.peer_timeout_ms);
     if (plan.peer_timeout_ms && plan.peer_timeout_ms >= plan.timeout_ms)
         util::fatal("plan: [dist] peer_timeout_ms (%u) must stay below "
                     "timeout_ms (%u) — per-peer detection is pointless "
                     "once the whole-socket guard has already fired",
                     plan.peer_timeout_ms, plan.timeout_ms);
-    plan.reconnect_attempts = static_cast<unsigned>(ini.getInt(
-        "dist", "reconnect_attempts",
-        static_cast<long>(plan.reconnect_attempts)));
-    plan.reconnect_base_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "reconnect_base_ms",
-        static_cast<long>(plan.reconnect_base_ms)));
-    plan.reconnect_max_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "reconnect_max_ms",
-        static_cast<long>(plan.reconnect_max_ms)));
+    plan.reconnect_attempts =
+        ini.getUnsigned("dist", "reconnect_attempts", plan.reconnect_attempts);
+    plan.reconnect_base_ms =
+        ini.getUnsigned("dist", "reconnect_base_ms", plan.reconnect_base_ms);
+    plan.reconnect_max_ms =
+        ini.getUnsigned("dist", "reconnect_max_ms", plan.reconnect_max_ms);
 
     plan.scenario = ini.get("run", "scenario", plan.scenario);
     plan.machine = ini.get("run", "machine", plan.machine);
     plan.mix = ini.get("run", "mix", plan.mix);
     plan.budgets = ini.get("run", "budgets", plan.budgets);
-    plan.ticks = static_cast<size_t>(
-        ini.getInt("run", "ticks", static_cast<long>(plan.ticks)));
+    plan.ticks = ini.getUnsigned("run", "ticks", plan.ticks);
     if (plan.ticks == 0)
         util::fatal("plan: [run] ticks must be positive");
-    plan.seed = static_cast<uint64_t>(
-        ini.getInt("run", "seed", static_cast<long>(plan.seed)));
-    plan.threads = static_cast<unsigned>(
-        ini.getInt("run", "threads", static_cast<long>(plan.threads)));
-    plan.record_stride = static_cast<unsigned>(ini.getInt(
-        "run", "record_stride", static_cast<long>(plan.record_stride)));
+    plan.seed = ini.getUnsigned("run", "seed", plan.seed);
+    plan.threads = ini.getUnsigned("run", "threads", plan.threads);
+    plan.record_stride =
+        ini.getUnsigned("run", "record_stride", plan.record_stride);
     if (plan.record_stride == 0)
         util::fatal("plan: [run] record_stride must be at least 1");
 
-    plan.obs_metrics_every = static_cast<unsigned>(
-        ini.getInt("obs", "metrics_every",
-                   static_cast<long>(plan.obs_metrics_every)));
+    plan.obs_metrics_every =
+        ini.getUnsigned("obs", "metrics_every", plan.obs_metrics_every);
     if (plan.obs_metrics && plan.obs_metrics_every == 0)
         util::fatal("plan: [obs] metrics_every must be at least 1");
     plan.obs_http = ini.get("obs", "http", plan.obs_http);
-    plan.obs_http_linger_ms = static_cast<unsigned>(
-        ini.getInt("obs", "http_linger_ms",
-                   static_cast<long>(plan.obs_http_linger_ms)));
+    plan.obs_http_linger_ms =
+        ini.getUnsigned("obs", "http_linger_ms", plan.obs_http_linger_ms);
     plan.obs_cascade = ini.getBool("obs", "cascade", plan.obs_cascade);
 
-    plan.netem_seed = static_cast<uint64_t>(ini.getInt(
-        "netem", "seed", static_cast<long>(plan.netem_seed)));
-    plan.netem_deadline = static_cast<unsigned>(ini.getInt(
-        "netem", "deadline_ticks",
-        static_cast<long>(plan.netem_deadline)));
+    plan.netem_seed = ini.getUnsigned("netem", "seed", plan.netem_seed);
+    plan.netem_deadline =
+        ini.getUnsigned("netem", "deadline_ticks", plan.netem_deadline);
     plan.netem_script = ini.get("netem", "script", plan.netem_script);
     if (plan.netem) {
         // Parse now so a malformed script dies at plan load, and check

@@ -10,7 +10,7 @@
  * faults (per-send budget drops, sensor noise) derive their randomness
  * from a counter-mode RNG keyed by (seed, kind, target, tick) — never
  * from shared mutable RNG state, wall clock, or thread identity — so a
- * shardable actor on any worker thread sees exactly the serial answer.
+ * kernel slot on any worker thread sees exactly the serial answer.
  */
 
 #ifndef NPS_FAULT_INJECTOR_H

@@ -6,7 +6,7 @@
  * Channels follow the ControlPlaneLog determinism recipe: each
  * controller registers its channel once at wiring time (single-
  * threaded) and receives a private TraceChannel pointer it alone
- * appends to, so shardable actors can emit from worker threads without
+ * appends to, so kernel slots can emit from worker threads without
  * locks. Every event carries (tick, seq, text); merged() sorts by
  * (tick, channel name, seq), which makes the merged output bit-
  * identical at any engine thread count.

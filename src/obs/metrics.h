@@ -6,7 +6,7 @@
  * The registry follows the same determinism recipe as
  * bus::ControlPlaneLog: every instrument is registered once at wiring
  * time (single-threaded) and hands its owner a private cell pointer.
- * At runtime each owner — including shardable actors running on worker
+ * At runtime each owner — including kernel slots running on worker
  * threads — writes only to its own cells, so recording is lock-free and
  * contention-free, and no cross-thread ordering can leak into the
  * values. Export sorts series by (family, label), making the text

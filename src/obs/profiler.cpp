@@ -16,6 +16,12 @@ ms(std::uint64_t ns)
     return static_cast<double>(ns) / 1e6;
 }
 
+const char *
+kindName(const EngineProfiler::ActorInfo &info)
+{
+    return info.kernel ? "kernel" : "global";
+}
+
 } // namespace
 
 void
@@ -25,7 +31,7 @@ EngineProfiler::setSchedule(std::vector<ActorInfo> actors, unsigned threads)
     bool same = actors.size() == actors_.size();
     for (size_t i = 0; same && i < actors.size(); ++i) {
         same = actors[i].name == actors_[i].info.name &&
-               actors[i].shard_key == actors_[i].info.shard_key;
+               actors[i].kernel == actors_[i].info.kernel;
     }
     if (same) {
         // Same actors, possibly more workers: keep every lane's totals.
@@ -103,7 +109,7 @@ EngineProfiler::writeTable(std::ostream &out) const
     util::Table t("Engine profile: " + std::to_string(ticks_) +
                   " ticks, " + std::to_string(threads_) + " thread(s), " +
                   util::Table::num(ms(wall_ns_), 1) + " ms wall");
-    t.header({"actor", "shard", "slot", "observe#", "observe ms",
+    t.header({"actor", "kind", "slot", "observe#", "observe ms",
               "step#", "step ms", "total ms", "% wall"});
     for (const ActorStats *a : order) {
         std::uint64_t total = a->observe_ns + a->step_ns;
@@ -111,10 +117,7 @@ EngineProfiler::writeTable(std::ostream &out) const
                           ? static_cast<double>(total) /
                                 static_cast<double>(wall_ns_)
                           : 0.0;
-        t.row({a->info.name,
-               a->info.shard_key < 0
-                   ? std::string("global")
-                   : std::to_string(a->info.shard_key),
+        t.row({a->info.name, kindName(a->info),
                std::to_string(a->slot),
                std::to_string(a->observe_calls),
                util::Table::num(ms(a->observe_ns), 3),
@@ -160,7 +163,7 @@ EngineProfiler::writeJson(std::ostream &out) const
     for (size_t i = 0; i < actors_.size(); ++i) {
         const ActorStats &a = actors_[i];
         out << "    {\"name\": " << util::jsonQuote(a.info.name)
-            << ", \"shard\": " << a.info.shard_key
+            << ", \"kind\": \"" << kindName(a.info) << '"'
             << ", \"slot\": " << a.slot
             << ", \"observe_calls\": " << a.observe_calls
             << ", \"observe_ns\": " << a.observe_ns

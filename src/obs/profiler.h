@@ -1,14 +1,15 @@
 /**
  * @file
  * EngineProfiler: per-actor, per-phase wall-clock timing for the tick
- * engine, with shard/thread attribution.
+ * engine, with worker-lane attribution.
  *
- * The engine (when a profiler is attached) times every observe() and
- * step() call and the two engine-level phases (cluster evaluation,
- * metrics recording). Per-actor accumulators are pre-sized at plan
- * time; within a tick each actor is touched by exactly one worker (the
- * engine's shard contract), and the barriers between segments order
- * the accesses across ticks, so accumulation needs no locks.
+ * The engine (when a profiler is attached) times every actor call — a
+ * global actor's observe()/step(), a kernel's once per shard — and the
+ * two engine-level phases (cluster evaluation, metrics recording).
+ * Per-actor accumulators are pre-sized at plan time, one lane per
+ * worker; a worker writes only its own lane, and the barriers between
+ * segments order the accesses across ticks, so accumulation needs no
+ * locks.
  *
  * Profiling measures wall-clock only — it never feeds back into the
  * simulation arithmetic, so results stay bit-identical with or without
@@ -42,7 +43,7 @@ class EngineProfiler
     struct ActorInfo
     {
         std::string name;
-        long shard_key = -1; //!< Actor::kGlobalShard for global actors
+        bool kernel = false; //!< a kernel actor, else a global one
     };
 
     /** Per-actor accumulated timings. */

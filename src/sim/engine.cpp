@@ -17,6 +17,59 @@ Engine::Engine(Cluster &cluster, MetricsCollector &metrics)
 
 Engine::~Engine() = default;
 
+namespace {
+
+/** The timer policy of the plain loop: every call compiles to nothing. */
+struct NoTimer
+{
+    struct Stamp
+    {
+    };
+
+    explicit NoTimer(obs::EngineProfiler *) {}
+    static Stamp start() { return {}; }
+    void actor(bool, size_t, Stamp, size_t) {}
+    void phase(obs::EnginePhase, Stamp) {}
+    void run(size_t, Stamp) {}
+};
+
+/** The timer policy of the profiled loop: feeds the EngineProfiler. */
+struct ProfilerTimer
+{
+    using Clock = obs::EngineProfiler::Clock;
+    using Stamp = Clock::time_point;
+
+    explicit ProfilerTimer(obs::EngineProfiler *profiler) : prof(*profiler) {}
+    static Stamp start() { return Clock::now(); }
+
+    /** One call of actor @p idx on worker lane @p lane. */
+    void
+    actor(bool step, size_t idx, Stamp t0, size_t lane)
+    {
+        const auto ns = obs::EngineProfiler::sinceNs(t0);
+        if (step)
+            prof.addStep(idx, ns, static_cast<unsigned>(lane));
+        else
+            prof.addObserve(idx, ns, static_cast<unsigned>(lane));
+    }
+
+    void
+    phase(obs::EnginePhase p, Stamp t0)
+    {
+        prof.addPhase(p, obs::EngineProfiler::sinceNs(t0));
+    }
+
+    void
+    run(size_t ticks, Stamp t0)
+    {
+        prof.addRun(ticks, obs::EngineProfiler::sinceNs(t0));
+    }
+
+    obs::EngineProfiler &prof;
+};
+
+} // namespace
+
 void
 Engine::addActor(std::shared_ptr<Actor> actor)
 {
@@ -25,20 +78,9 @@ Engine::addActor(std::shared_ptr<Actor> actor)
     if (actor->period() == 0)
         util::fatal("Engine::addActor: actor %s has zero period",
                     actor->name().c_str());
-    // Re-registering a name (replacing a controller instance after a
-    // fault-driven restart) swaps the actor into the original slot
-    // instead of appending. The slot, not the registration time, is what
-    // the stable coarse-first sort uses to break period ties, so the
-    // replacement steps exactly where its predecessor did and the
-    // schedule stays deterministic. The name index keeps both paths
-    // O(1); preparePlan rebuilds it after the sort moves slots.
-    auto it = slot_of_.find(actor->name());
-    if (it != slot_of_.end()) {
-        actors_[it->second] = std::move(actor);
-        plan_dirty_ = true;
-        return;
-    }
-    slot_of_.emplace(actor->name(), actors_.size());
+    if (!names_.insert(actor->name()).second)
+        util::fatal("Engine::addActor: actor name %s is already taken",
+                    actor->name().c_str());
     actors_.push_back(std::move(actor));
     plan_dirty_ = true;
 }
@@ -68,10 +110,8 @@ Engine::preparePlan()
                      [](const auto &a, const auto &b) {
                          return a->period() > b->period();
                      });
-    for (size_t i = 0; i < actors_.size(); ++i)
-        slot_of_[actors_[i]->name()] = i;
 
-    if (threads_ > 1 && !pool_)
+    if (!pool_)
         pool_ = std::make_unique<util::ThreadPool>(threads_);
 
     // Dispatch caches: raw pointers and periods in schedule order.
@@ -80,154 +120,120 @@ Engine::preparePlan()
     // behaviour-preserving.
     raw_.resize(actors_.size());
     period_.resize(actors_.size());
-    kernel_.resize(actors_.size());
     for (size_t i = 0; i < actors_.size(); ++i) {
         raw_[i] = actors_[i].get();
         period_[i] = actors_[i]->period();
-        kernel_[i] = raw_[i]->shardKey() == Actor::kKernelShard;
     }
 
     // Static shard assignment: contiguous server-id blocks, one per
-    // worker. Keys beyond the server count land in the last shard; a
-    // kernel joins every shard and runs over that shard's block.
-    // Shardable runs are flattened shard-major so each worker walks one
-    // contiguous slice of indices per tick.
-    plan_.clear();
-    const size_t shards = threads_;
-    const util::ShardRange range(cluster_.numServers(), shards);
-    shard_lo_.resize(shards);
-    shard_hi_.resize(shards);
-    for (size_t s = 0; s < shards; ++s) {
+    // worker; every kernel runs over the same block on the same shard.
+    const util::ShardRange range(cluster_.numServers(), threads_);
+    shard_lo_.resize(threads_);
+    shard_hi_.resize(threads_);
+    for (size_t s = 0; s < threads_; ++s) {
         shard_lo_[s] = range.lo(s);
         shard_hi_[s] = range.hi(s);
     }
-    std::vector<std::vector<size_t>> scratch;
-    auto flush = [&]() {
-        if (scratch.empty())
-            return;
-        Segment seg;
-        seg.shardable = true;
-        seg.begin.reserve(scratch.size() + 1);
-        seg.begin.push_back(0);
-        for (const auto &list : scratch) {
-            for (size_t idx : list) {
-                seg.flat.push_back(idx);
-                if (std::find(seg.fire.begin(), seg.fire.end(),
-                              period_[idx]) == seg.fire.end())
-                    seg.fire.push_back(period_[idx]);
-            }
-            seg.begin.push_back(seg.flat.size());
-        }
-        plan_.push_back(std::move(seg));
-        scratch.clear();
-    };
+
+    // Segments: one per global actor, one per run of kernels.
+    plan_.clear();
+    fire_.clear();
     for (size_t i = 0; i < actors_.size(); ++i) {
-        long key = raw_[i]->shardKey();
-        if (kernel_[i]) {
-            if (scratch.empty())
-                scratch.resize(shards);
-            for (auto &list : scratch)
-                list.push_back(i);
-            continue;
+        const bool kernel = raw_[i]->kind() == Actor::Kind::Kernel;
+        if (!kernel || plan_.empty() || !plan_.back().kernel)
+            plan_.push_back({i, i, fire_.size(), fire_.size(), kernel});
+        Segment &seg = plan_.back();
+        seg.last = i + 1;
+        if (std::find(fire_.begin() + seg.fire_lo, fire_.end(),
+                      period_[i]) == fire_.end()) {
+            fire_.push_back(period_[i]);
+            seg.fire_hi = fire_.size();
         }
-        if (key < 0) {
-            flush();
-            Segment seg;
-            seg.shardable = false;
-            seg.actor = i;
-            plan_.push_back(std::move(seg));
-            continue;
-        }
-        if (scratch.empty())
-            scratch.resize(shards);
-        scratch[range.shardOf(static_cast<size_t>(key))].push_back(i);
     }
-    flush();
     plan_dirty_ = false;
 }
 
-/** True when any of the segment's distinct periods fires at @p tick. */
-static bool
-segmentFires(const std::vector<unsigned> &fire, size_t tick)
+bool
+Engine::fires(const Segment &seg, size_t tick) const
 {
-    for (unsigned p : fire)
-        if (tick % p == 0)
+    for (size_t f = seg.fire_lo; f < seg.fire_hi; ++f)
+        if (tick % fire_[f] == 0)
             return true;
     return false;
 }
 
-size_t
-Engine::runSerial(size_t ticks)
+template <bool Step, class Timer>
+void
+Engine::runKernels(const Segment &seg, size_t s)
 {
-    const size_t count = raw_.size();
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            return i;
-        for (Actor *actor : raw_)
-            actor->observe(tick);
-        if (tick > 0) {
-            for (size_t a = 0; a < count; ++a) {
-                if (tick % period_[a] == 0)
-                    raw_[a]->step(tick);
-            }
-        }
-        cluster_.evaluateTick(tick);
-        metrics_.record(cluster_, tick);
-        if (observer_)
-            observer_->endTick(tick);
-        ++now_;
+    Timer timer(profiler_);
+    const size_t tick = now_;
+    for (size_t i = seg.first; i < seg.last; ++i) {
+        if (Step && tick % period_[i] != 0)
+            continue;
+        const auto t0 = timer.start();
+        if constexpr (Step)
+            raw_[i]->stepSlots(tick, shard_lo_[s], shard_hi_[s]);
+        else
+            raw_[i]->observeSlots(tick, shard_lo_[s], shard_hi_[s]);
+        timer.actor(Step, i, t0, s);
     }
-    return ticks;
 }
 
-size_t
-Engine::runParallel(size_t ticks)
+template <bool Step, class Timer>
+void
+Engine::runPhase()
 {
-    util::ThreadPool &pool = *pool_;
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            return i;
-        for (const Segment &seg : plan_) {
-            if (!seg.shardable) {
-                raw_[seg.actor]->observe(tick);
-                continue;
-            }
-            pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                for (size_t k = seg.begin[s]; k < seg.begin[s + 1]; ++k)
-                    observeIn(seg.flat[k], tick, s);
+    Timer timer(profiler_);
+    const size_t tick = now_;
+    for (const Segment &seg : plan_) {
+        // Skipping a segment when no member period divides the tick is
+        // exact: it would have fired zero steps.
+        if (Step && !fires(seg, tick))
+            continue;
+        if (seg.kernel) {
+            // A one-shard pool runs inline. The closure's two pointers
+            // fit std::function's small buffer: no allocation.
+            pool_->parallelFor(shard_lo_.size(), [this, &seg](size_t s) {
+                runKernels<Step, Timer>(seg, s);
             });
+            continue;
         }
-        if (tick > 0) {
-            for (const Segment &seg : plan_) {
-                if (!seg.shardable) {
-                    if (tick % period_[seg.actor] == 0)
-                        raw_[seg.actor]->step(tick);
-                    continue;
-                }
-                // Skipping the dispatch when no member period divides
-                // the tick is exact: every worker would have fired zero
-                // steps.
-                if (!segmentFires(seg.fire, tick))
-                    continue;
-                pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                    for (size_t k = seg.begin[s]; k < seg.begin[s + 1];
-                         ++k) {
-                        size_t idx = seg.flat[k];
-                        if (tick % period_[idx] == 0)
-                            stepIn(idx, tick, s);
-                    }
-                });
-            }
-        }
-        cluster_.evaluateTick(tick, &pool);
+        const auto t0 = timer.start();
+        if constexpr (Step)
+            raw_[seg.first]->step(tick);
+        else
+            raw_[seg.first]->observe(tick);
+        timer.actor(Step, seg.first, t0, 0);
+    }
+}
+
+template <class Timer>
+size_t
+Engine::runTicks(size_t ticks)
+{
+    Timer timer(profiler_);
+    const auto run_start = timer.start();
+    size_t done = 0;
+    for (; done < ticks; ++done) {
+        const size_t tick = now_;
+        if (source_ && !source_->beginTick(tick))
+            break;
+        runPhase<false, Timer>();
+        if (tick > 0)
+            runPhase<true, Timer>();
+        auto t0 = timer.start();
+        cluster_.evaluateTick(tick, pool_.get());
+        timer.phase(obs::EnginePhase::Evaluate, t0);
+        t0 = timer.start();
         metrics_.record(cluster_, tick);
+        timer.phase(obs::EnginePhase::Record, t0);
         if (observer_)
             observer_->endTick(tick);
         ++now_;
     }
-    return ticks;
+    timer.run(done, run_start);
+    return done;
 }
 
 void
@@ -246,127 +252,10 @@ Engine::announceSchedule()
     for (const auto &a : actors_) {
         obs::EngineProfiler::ActorInfo info;
         info.name = a->name();
-        info.shard_key = a->shardKey();
+        info.kernel = a->kind() == Actor::Kind::Kernel;
         infos.push_back(std::move(info));
     }
     profiler_->setSchedule(std::move(infos), threads_);
-}
-
-size_t
-Engine::runSerialProfiled(size_t ticks)
-{
-    using Clock = obs::EngineProfiler::Clock;
-    obs::EngineProfiler &prof = *profiler_;
-    Clock::time_point run_start = Clock::now();
-    size_t done = 0;
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            break;
-        for (size_t a = 0; a < raw_.size(); ++a) {
-            Clock::time_point t0 = Clock::now();
-            raw_[a]->observe(tick);
-            prof.addObserve(a, obs::EngineProfiler::sinceNs(t0), 0);
-        }
-        if (tick > 0) {
-            for (size_t a = 0; a < raw_.size(); ++a) {
-                if (tick % period_[a] != 0)
-                    continue;
-                Clock::time_point t0 = Clock::now();
-                raw_[a]->step(tick);
-                prof.addStep(a, obs::EngineProfiler::sinceNs(t0), 0);
-            }
-        }
-        Clock::time_point t0 = Clock::now();
-        cluster_.evaluateTick(tick);
-        prof.addPhase(obs::EnginePhase::Evaluate,
-                      obs::EngineProfiler::sinceNs(t0));
-        t0 = Clock::now();
-        metrics_.record(cluster_, tick);
-        prof.addPhase(obs::EnginePhase::Record,
-                      obs::EngineProfiler::sinceNs(t0));
-        if (observer_)
-            observer_->endTick(tick);
-        ++now_;
-        ++done;
-    }
-    prof.addRun(done, obs::EngineProfiler::sinceNs(run_start));
-    return done;
-}
-
-size_t
-Engine::runParallelProfiled(size_t ticks)
-{
-    using Clock = obs::EngineProfiler::Clock;
-    obs::EngineProfiler &prof = *profiler_;
-    util::ThreadPool &pool = *pool_;
-    Clock::time_point run_start = Clock::now();
-    size_t done = 0;
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            break;
-        for (const Segment &seg : plan_) {
-            if (!seg.shardable) {
-                Clock::time_point t0 = Clock::now();
-                raw_[seg.actor]->observe(tick);
-                prof.addObserve(seg.actor,
-                                obs::EngineProfiler::sinceNs(t0), 0);
-                continue;
-            }
-            pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                for (size_t k = seg.begin[s]; k < seg.begin[s + 1]; ++k) {
-                    size_t idx = seg.flat[k];
-                    Clock::time_point t0 = Clock::now();
-                    observeIn(idx, tick, s);
-                    prof.addObserve(idx, obs::EngineProfiler::sinceNs(t0),
-                                    static_cast<unsigned>(s));
-                }
-            });
-        }
-        if (tick > 0) {
-            for (const Segment &seg : plan_) {
-                if (!seg.shardable) {
-                    if (tick % period_[seg.actor] == 0) {
-                        Clock::time_point t0 = Clock::now();
-                        raw_[seg.actor]->step(tick);
-                        prof.addStep(seg.actor,
-                                     obs::EngineProfiler::sinceNs(t0), 0);
-                    }
-                    continue;
-                }
-                if (!segmentFires(seg.fire, tick))
-                    continue;
-                pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                    for (size_t k = seg.begin[s]; k < seg.begin[s + 1];
-                         ++k) {
-                        size_t idx = seg.flat[k];
-                        if (tick % period_[idx] != 0)
-                            continue;
-                        Clock::time_point t0 = Clock::now();
-                        stepIn(idx, tick, s);
-                        prof.addStep(idx,
-                                     obs::EngineProfiler::sinceNs(t0),
-                                     static_cast<unsigned>(s));
-                    }
-                });
-            }
-        }
-        Clock::time_point t0 = Clock::now();
-        cluster_.evaluateTick(tick, &pool);
-        prof.addPhase(obs::EnginePhase::Evaluate,
-                      obs::EngineProfiler::sinceNs(t0));
-        t0 = Clock::now();
-        metrics_.record(cluster_, tick);
-        prof.addPhase(obs::EnginePhase::Record,
-                      obs::EngineProfiler::sinceNs(t0));
-        if (observer_)
-            observer_->endTick(tick);
-        ++now_;
-        ++done;
-    }
-    prof.addRun(done, obs::EngineProfiler::sinceNs(run_start));
-    return done;
 }
 
 size_t
@@ -374,14 +263,9 @@ Engine::run(size_t ticks)
 {
     preparePlan();
     announceSchedule();
-    if (threads_ <= 1) {
-        if (profiler_)
-            return runSerialProfiled(ticks);
-        return runSerial(ticks);
-    }
     if (profiler_)
-        return runParallelProfiled(ticks);
-    return runParallel(ticks);
+        return runTicks<ProfilerTimer>(ticks);
+    return runTicks<NoTimer>(ticks);
 }
 
 void

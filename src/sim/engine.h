@@ -14,15 +14,16 @@
  * Controllers never act at tick 0: the first tick is a pure measurement
  * tick, so every loop starts from a real observation.
  *
- * Parallel execution (docs/PARALLELISM.md): actors declare themselves
- * *shardable* (per-server state only, keyed by server id), *kernels*
- * (one actor running a per-server loop over every server) or *global*
- * (cross-server reads/writes) via Actor::shardKey(). The engine fans
- * contiguous runs of shardable and kernel actors — and the per-server
- * part of the cluster evaluation — across a worker pool using static,
- * contiguous server shards, with a barrier before every global actor
- * and before metrics recording. Results are bit-identical to the serial
- * engine for any thread count.
+ * Parallel execution (docs/PARALLELISM.md): an actor is either a
+ * *kernel* (one actor running a per-server loop whose slot i is server
+ * i) or *global* (cross-server reads/writes), via Actor::kind(). The
+ * engine cuts the schedule into segments — one global actor, or a run
+ * of consecutive kernels — and fans every kernel run, and the
+ * per-server part of the cluster evaluation, across a worker pool over
+ * static, contiguous server shards, with a barrier before every global
+ * actor and before metrics recording. One tick loop serves every
+ * thread count: threads = 1 runs the same plan with one shard, inline.
+ * Results are bit-identical for any thread count.
  */
 
 #ifndef NPS_SIM_ENGINE_H
@@ -32,7 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/cluster.h"
@@ -56,34 +57,31 @@ namespace sim {
 class Actor
 {
   public:
-    /** shardKey() value of a global (non-shardable) actor. */
-    static constexpr long kGlobalShard = -1;
-
-    /** shardKey() value of a kernel actor (see stepSlots()). */
-    static constexpr long kKernelShard = -2;
+    /** The two actor kinds (docs/PARALLELISM.md). */
+    enum class Kind
+    {
+        Global, //!< cross-server state; observe()/step() on the engine thread
+        Kernel, //!< a per-server loop; observeSlots()/stepSlots() per shard
+    };
 
     virtual ~Actor() = default;
 
-    /** Diagnostic name. */
+    /** Diagnostic name, unique within an engine. */
     virtual const std::string &name() const = 0;
 
     /** Control interval in ticks (the paper's T_ec, T_sm, ...). */
     virtual unsigned period() const = 0;
 
     /**
-     * Shard classification. Return a server id to declare the actor
-     * *shardable*: both observe() and step() may then run on a worker
-     * thread, concurrently with other shardable actors keyed to
-     * different servers. A shardable actor must touch only state owned
-     * by its server (the server itself, its own controller state, a
-     * controller nested on the same server) and must not use a shared
-     * RNG. Return kGlobalShard (the default) for anything that reads or
-     * writes cross-server state; global actors always run on the engine
-     * thread, with a barrier separating them from neighbouring shardable
-     * work. Return kKernelShard for a kernel actor: one actor that holds
-     * a per-server loop for every server (observeSlots()/stepSlots()).
+     * Global (the default): the engine calls observe() and step() on
+     * its own thread, with a barrier separating them from the kernels
+     * around them; use it for anything that reads or writes
+     * cross-server state or a shared RNG. Kernel: the engine calls
+     * observeSlots() / stepSlots() instead, once per shard with that
+     * shard's server block; a slot may touch only state owned by its
+     * server.
      */
-    virtual long shardKey() const { return kGlobalShard; }
+    virtual Kind kind() const { return Kind::Global; }
 
     /**
      * Called every tick (before any control steps) so long-epoch
@@ -95,14 +93,10 @@ class Actor
     virtual void step(size_t tick) = 0;
 
     /**
-     * Kernel actors only (shardKey() == kKernelShard): observe / step the
-     * per-server slots [lo, hi) at @p tick. The parallel engine calls a
-     * kernel once per shard with that shard's server block
-     * (util::ShardRange over the cluster's servers), inside the same
-     * parallelFor and at the same schedule position as the per-server
-     * actors of its segment; the serial engine calls observe()/step(),
-     * which must cover every slot. A slot may touch only state owned by
-     * its server, exactly like a shardable actor.
+     * Kernel actors only: observe the per-server slots [lo, hi) at
+     * @p tick. The engine calls a kernel once per shard with that
+     * shard's server block (util::ShardRange over the cluster's
+     * servers); with one shard the block is every server.
      */
     virtual void
     observeSlots(size_t tick, size_t lo, size_t hi)
@@ -124,9 +118,9 @@ class Actor
 
 /**
  * The kernel actor of one per-server controller kind: a named, periodic
- * actor over a struct-of-arrays @p Store whose slot i is server i. The
- * store supplies `size()`, `period()`, and the range loops
- * `observe(tick, lo, hi)` / `step(tick, lo, hi)`.
+ * actor over a @p Store whose slot i is server i — a struct-of-arrays
+ * store, or ObjectSlots. The store supplies `size()`, `period()`, and
+ * the range loops `observe(tick, lo, hi)` / `step(tick, lo, hi)`.
  */
 template <class Store>
 class KernelActor : public Actor
@@ -139,8 +133,9 @@ class KernelActor : public Actor
 
     const std::string &name() const override { return name_; }
     unsigned period() const override { return store_->period(); }
-    long shardKey() const override { return kKernelShard; }
+    Kind kind() const override { return Kind::Kernel; }
 
+    /** Every slot at once; the engine calls the slot-range forms. */
     void
     observe(size_t tick) override
     {
@@ -164,6 +159,43 @@ class KernelActor : public Actor
   private:
     std::string name_;
     std::shared_ptr<Store> store_;
+};
+
+/**
+ * A kernel store over one object per slot, for the per-server
+ * controllers that keep their state in the object (the electrical
+ * capper, the memory manager): slot i runs objects[i]'s observe(tick)
+ * and step(tick). Every object shares one control interval.
+ */
+template <class T>
+class ObjectSlots
+{
+  public:
+    ObjectSlots(std::vector<std::shared_ptr<T>> objects, unsigned period)
+        : objects_(std::move(objects)), period_(period)
+    {
+    }
+
+    size_t size() const { return objects_.size(); }
+    unsigned period() const { return period_; }
+
+    void
+    observe(size_t tick, size_t lo, size_t hi)
+    {
+        for (size_t i = lo; i < hi; ++i)
+            objects_[i]->observe(tick);
+    }
+
+    void
+    step(size_t tick, size_t lo, size_t hi)
+    {
+        for (size_t i = lo; i < hi; ++i)
+            objects_[i]->step(tick);
+    }
+
+  private:
+    std::vector<std::shared_ptr<T>> objects_;
+    unsigned period_;
 };
 
 /**
@@ -228,14 +260,8 @@ class Engine
      * period order (stable for ties), regardless of insertion order.
      * Registration is allowed between run() calls: the schedule is
      * (re)built lazily at the next run(), so a later-added actor joins
-     * the same coarse-first ordering from that run on.
-     *
-     * Registering an actor whose name() matches an existing registration
-     * *replaces* it in place (e.g. a controller instance rebuilt after a
-     * fault-driven restart): the replacement inherits its predecessor's
-     * slot, and with it the predecessor's position among equal-period
-     * actors in the rebuilt schedule. See actors() for the resulting
-     * ordering contract.
+     * the same coarse-first ordering from that run on. fatal() on a null
+     * actor, a zero period, or a name that is already registered.
      */
     void addActor(std::shared_ptr<Actor> actor);
 
@@ -243,20 +269,14 @@ class Engine
      * @return registered actors.
      *
      * Ordering contract (the single authoritative statement — the
-     * scheduling, batching, and replacement logic all key off it):
+     * scheduling and batching logic key off it):
      *
-     *  - Before the first run(), actors are in *insertion order* —
-     *    addActor appends, and a name-matched replacement reuses its
-     *    predecessor's slot instead of appending.
+     *  - Before the first run(), actors are in *insertion order*.
      *  - run() lazily rebuilds the schedule, stable-sorting the vector
      *    into *schedule order*: descending period, ties broken by the
-     *    pre-sort slot order. From then on actors() returns schedule
-     *    order.
-     *  - A subsequent addActor() mutates the (now schedule-ordered)
-     *    vector — appending a new name, or replacing in place — and the
-     *    next run() re-sorts. Because the sort is stable and a
-     *    replacement keeps its slot, a replaced actor steps exactly
-     *    where its predecessor did among equal-period peers.
+     *    pre-sort order. From then on actors() returns schedule order.
+     *  - A subsequent addActor() appends to the (now schedule-ordered)
+     *    vector, and the next run() re-sorts.
      *
      * Callers that need a state-independent order must sort by name
      * (as the checkpoint roster does).
@@ -268,8 +288,9 @@ class Engine
 
     /**
      * Set the worker-thread count for subsequent run() calls: 0 picks
-     * the hardware concurrency, 1 runs the legacy single-threaded path.
-     * Any value yields bit-identical simulation results.
+     * the hardware concurrency, 1 runs the same plan with one shard on
+     * the calling thread. Any value yields bit-identical simulation
+     * results.
      */
     void setThreads(unsigned threads);
 
@@ -278,17 +299,17 @@ class Engine
 
     /**
      * Attach (or detach, with nullptr) a wall-clock profiler. When
-     * attached, every actor observe()/step() call and the engine-level
-     * phases are timed; the profiler must outlive the engine or be
-     * detached first. Timing is observation-only: simulation results
-     * are bit-identical with or without a profiler.
+     * attached, every actor call (a kernel's once per shard) and the
+     * engine-level phases are timed; the profiler must outlive the
+     * engine or be detached first. Timing is observation-only:
+     * simulation results are bit-identical with or without a profiler.
      */
     void setProfiler(obs::EngineProfiler *profiler);
 
     /**
      * Attach (or detach, with nullptr) a per-tick source gate. The
      * source must outlive the engine or be detached first. With no
-     * source attached the tick loops are exactly the offline engine —
+     * source attached the tick loop is exactly the offline engine —
      * the online path adds one pointer test per tick.
      */
     void setTickSource(TickSource *source) { source_ = source; }
@@ -296,7 +317,7 @@ class Engine
     /**
      * Attach (or detach, with nullptr) a per-tick completion observer.
      * The observer must outlive the engine or be detached first. With
-     * no observer attached the tick loops are exactly the plain engine
+     * no observer attached the tick loop is exactly the plain engine
      * — the hook adds one pointer test per tick.
      */
     void setTickObserver(TickObserver *observer) { observer_ = observer; }
@@ -327,74 +348,57 @@ class Engine
 
   private:
     /**
-     * One schedule segment: a maximal run of consecutive same-kind
-     * actors in the sorted order. A global segment holds exactly one
-     * actor. A shardable segment holds the actor indices partitioned by
-     * shard in one flat array (shard-major, each shard's slice in
-     * schedule order; a kernel actor appears once in every shard's
-     * slice) with an offsets table — workers walk a contiguous index
-     * range instead of chasing a vector-of-vectors, and `fire` (the
-     * distinct periods present in the segment) lets the step phase skip
-     * the whole dispatch on ticks where no member fires.
+     * One schedule segment: actors [first, last) of the sorted order,
+     * either one global actor or a maximal run of consecutive kernels.
+     * fire_[fire_lo, fire_hi) holds the distinct periods in the
+     * segment, so the step phase can skip a segment on ticks where no
+     * member fires.
      */
     struct Segment
     {
-        bool shardable = false;
-        size_t actor = 0;            //!< global only
-        std::vector<size_t> flat;    //!< shardable: indices, shard-major
-        std::vector<size_t> begin;   //!< shardable: shards+1 offsets
-        std::vector<unsigned> fire;  //!< shardable: distinct periods
+        size_t first = 0;
+        size_t last = 0;
+        size_t fire_lo = 0;
+        size_t fire_hi = 0;
+        bool kernel = false;
     };
 
     void preparePlan();
-
-    /** Observe / step actor @p idx as a member of shard @p s. */
-    void
-    observeIn(size_t idx, size_t tick, size_t s)
-    {
-        if (kernel_[idx])
-            raw_[idx]->observeSlots(tick, shard_lo_[s], shard_hi_[s]);
-        else
-            raw_[idx]->observe(tick);
-    }
-
-    void
-    stepIn(size_t idx, size_t tick, size_t s)
-    {
-        if (kernel_[idx])
-            raw_[idx]->stepSlots(tick, shard_lo_[s], shard_hi_[s]);
-        else
-            raw_[idx]->step(tick);
-    }
-
-    size_t runSerial(size_t ticks);
-    size_t runParallel(size_t ticks);
-    size_t runSerialProfiled(size_t ticks);
-    size_t runParallelProfiled(size_t ticks);
     void announceSchedule();
+
+    /** True when any of @p seg's periods divides @p tick. */
+    bool fires(const Segment &seg, size_t tick) const;
+
+    /** The tick loop; @p Timer times actors and phases, or nothing. */
+    template <class Timer>
+    size_t runTicks(size_t ticks);
+
+    /** The observe (or, with @p Step, the step) phase of tick now(). */
+    template <bool Step, class Timer>
+    void runPhase();
+
+    /** Segment @p seg's kernels over shard @p s's block. */
+    template <bool Step, class Timer>
+    void runKernels(const Segment &seg, size_t s);
 
     Cluster &cluster_;
     MetricsCollector &metrics_;
     std::vector<std::shared_ptr<Actor>> actors_;
-    // name -> current slot in actors_, so the replace-by-name path of
-    // addActor stays O(1) when per-server actors (cappers, memory
-    // managers) are registered at fleet scale. Rebuilt after the
-    // schedule sort moves slots.
-    std::unordered_map<std::string, size_t> slot_of_;
+    std::unordered_set<std::string> names_; //!< every registered name
     size_t now_ = 0;
 
     unsigned threads_;
     std::unique_ptr<util::ThreadPool> pool_;
     std::vector<Segment> plan_;
+    std::vector<unsigned> fire_; //!< every segment's periods, in order
     // Dispatch caches rebuilt with the plan: raw actor pointers and
-    // periods indexed like actors_, so the per-tick loops skip the
+    // periods indexed like actors_, so the per-tick loop skips the
     // shared_ptr control-block dereference and the virtual period()
     // call. Valid only while plan_dirty_ is false (addActor and
     // setThreads invalidate).
     std::vector<Actor *> raw_;
     std::vector<unsigned> period_;
-    std::vector<uint8_t> kernel_; //!< 1 for kernel actors
-    // Each shard's server block [lo, hi), handed to kernel actors.
+    // Each shard's server block [lo, hi), handed to kernels.
     std::vector<size_t> shard_lo_;
     std::vector<size_t> shard_hi_;
     bool plan_dirty_ = true;

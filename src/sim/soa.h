@@ -4,7 +4,7 @@
  * state (docs/PERFORMANCE.md).
  *
  * At fleet scale the per-tick hot path — Cluster::evaluateTick, the
- * metrics pass, and every shardable controller's sensor reads — is
+ * metrics pass, and every per-server kernel's sensor reads — is
  * dominated by memory traffic, not arithmetic. Keeping the mutable
  * scalars inside the Server / VirtualMachine objects interleaves the
  * few hot doubles with cold construction data (spec pointers, hosted-VM

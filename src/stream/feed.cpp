@@ -1,6 +1,7 @@
 #include "stream/feed.h"
 
 #include <chrono>
+#include <cmath>
 
 #include "ckpt/snapshot.h"
 #include "obs/metrics.h"
@@ -17,6 +18,12 @@ ClusterFeed::ClusterFeed(sim::Cluster &cluster, TelemetrySource &source,
         util::fatal("stream: source has %zu streams, cluster has %zu "
                     "VMs",
                     source_.streams(), cluster_.numVms());
+    // The fallback is staged as demand, which the plant requires to be
+    // finite and non-negative.
+    if (!std::isfinite(config_.fallback_util) || config_.fallback_util < 0.0)
+        util::fatal("stream: fallback_util %g is not a finite, "
+                    "non-negative demand",
+                    config_.fallback_util);
     cluster_.enableExternalDemand();
     last_.assign(cluster_.numVms(), config_.fallback_util);
     miss_.assign(cluster_.numVms(), 0);

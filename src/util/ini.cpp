@@ -1,11 +1,13 @@
 #include "util/ini.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/script.h"
 
 namespace nps {
 namespace util {
@@ -49,28 +51,35 @@ IniDocument::getDouble(const std::string &section, const std::string &key,
     if (!has(section, key))
         return fallback;
     std::string raw = get(section, key);
-    char *end = nullptr;
-    double value = std::strtod(raw.c_str(), &end);
-    if (end == raw.c_str() || *end != '\0')
-        fatal("ini: [%s] %s = '%s' is not a number", section.c_str(),
-              key.c_str(), raw.c_str());
+    double value = 0.0;
+    if (!parseNumber(raw, value))
+        fatal("ini: [%s] %s = '%s' is not a number, or not finite",
+              section.c_str(), key.c_str(), raw.c_str());
     return value;
 }
 
-long
-IniDocument::getInt(const std::string &section, const std::string &key,
-                    long fallback) const
+template <class T>
+T
+IniDocument::getUnsigned(const std::string &section, const std::string &key,
+                         T fallback) const
 {
     if (!has(section, key))
         return fallback;
     std::string raw = get(section, key);
-    char *end = nullptr;
-    long value = std::strtol(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0')
-        fatal("ini: [%s] %s = '%s' is not an integer", section.c_str(),
-              key.c_str(), raw.c_str());
-    return value;
+    uint64_t value = 0;
+    if (!parseUnsigned(raw, value) || value > std::numeric_limits<T>::max())
+        fatal("ini: [%s] %s = '%s' is not an unsigned integer up to %llu",
+              section.c_str(), key.c_str(), raw.c_str(),
+              static_cast<unsigned long long>(std::numeric_limits<T>::max()));
+    return static_cast<T>(value);
 }
+
+template unsigned IniDocument::getUnsigned(const std::string &,
+                                           const std::string &,
+                                           unsigned) const;
+template unsigned long IniDocument::getUnsigned(const std::string &,
+                                                const std::string &,
+                                                unsigned long) const;
 
 bool
 IniDocument::getBool(const std::string &section, const std::string &key,

@@ -31,11 +31,18 @@ class IniDocument
     std::string get(const std::string &section, const std::string &key,
                     const std::string &fallback = "") const;
 
-    /** Typed getters; fatal() on malformed values. */
+    /**
+     * Typed getters, @p fallback when the key is absent; fatal() on
+     * malformed values. A double must be finite (util::parseNumber). An
+     * unsigned value is digits only (util::parseUnsigned), no larger
+     * than @p T holds: a sign, a fraction or an overflow dies instead of
+     * wrapping. @p T is unsigned or unsigned long.
+     */
     double getDouble(const std::string &section, const std::string &key,
                      double fallback) const;
-    long getInt(const std::string &section, const std::string &key,
-                long fallback) const;
+    template <class T>
+    T getUnsigned(const std::string &section, const std::string &key,
+                  T fallback) const;
     bool getBool(const std::string &section, const std::string &key,
                  bool fallback) const;
 

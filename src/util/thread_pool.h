@@ -30,9 +30,9 @@ namespace util {
 /**
  * The static partition the sharded phases use: @p items split into
  * @p shards contiguous blocks of ceil(items / shards) (at least 1), the
- * last block short. The engine's per-server actors and kernels and
- * FleetGen's trace fill partition with this one helper, so a worker
- * touches the same items in every actor phase. Cluster::evaluateTick
+ * last block short. The engine's kernel actors and FleetGen's trace
+ * fill partition with this one helper, so a worker touches the same
+ * items in every actor phase. Cluster::evaluateTick
  * cuts its contiguous blocks by work instead (docs/PARALLELISM.md).
  */
 class ShardRange
@@ -40,7 +40,7 @@ class ShardRange
   public:
     /** @pre shards >= 1 */
     ShardRange(size_t items, size_t shards)
-        : items_(items), shards_(shards),
+        : items_(items),
           block_(items > shards ? (items + shards - 1) / shards : 1)
     {
     }
@@ -61,17 +61,8 @@ class ShardRange
         return h < items_ ? h : items_;
     }
 
-    /** The shard owning @p item; items past the end go to the last. */
-    size_t
-    shardOf(size_t item) const
-    {
-        const size_t s = item / block_;
-        return s < shards_ ? s : shards_ - 1;
-    }
-
   private:
     size_t items_;
-    size_t shards_;
     size_t block_;
 };
 

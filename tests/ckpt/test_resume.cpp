@@ -107,9 +107,11 @@ TEST(ResumeTest, TreeWithFaultsAcrossThreads)
 
 TEST(ResumeTest, CapperAndMemoryManagers)
 {
+    // The CAP/MM kernels shard their slots: checkpoint serial, resume
+    // on 4 workers.
     CkptCase c;
     c.cap_mem = true;
-    checkResume(c, 163, 1, 1, 1);
+    checkResume(c, 163, 1, 1, 4);
 }
 
 TEST(ResumeTest, CascadeOnlyLogAcrossThreadCounts)

@@ -137,6 +137,19 @@ TEST(SnapshotFormat, FutureVersionRejected)
     EXPECT_NE(err.find("version"), std::string::npos) << err;
 }
 
+TEST(SnapshotFormat, PreviousVersionRejected)
+{
+    // v4 rosters name one CAP/MM actor per server; v5 restores refuse
+    // them by version rather than by a roster mismatch.
+    std::string bytes = sampleSnapshot().serialize();
+    bytes[8] = static_cast<char>(kFormatVersion - 1);
+    SnapshotReader snap;
+    std::string err;
+    EXPECT_FALSE(snap.loadBytes(bytes, "mem", err));
+    EXPECT_NE(err.find("format version 4 not supported"), std::string::npos)
+        << err;
+}
+
 TEST(SnapshotFormat, TrailingGarbageRejected)
 {
     std::string bytes = sampleSnapshot().serialize() + "junk";

@@ -142,6 +142,41 @@ TEST(ConfigIo, TypoedKeyInRecognizedSectionDiesNamingBoth)
                  "unknown key 'periodd' in \\[gm\\]");
 }
 
+TEST(ConfigIo, NegativeAndNonFiniteNumbersDie)
+{
+    // Each of these once parsed: the unsigned ones wrapped (threads = -1
+    // became 4294967295) and the double stayed NaN.
+    auto load = [](const char *text) {
+        configFromIni(util::parseIni(text));
+    };
+    EXPECT_DEATH(load("[deployment]\nthreads = -1\n"),
+                 "\\[deployment\\] threads = '-1' is not an unsigned");
+    EXPECT_DEATH(load("[ec]\nperiod = -3\n"),
+                 "\\[ec\\] period = '-3' is not an unsigned");
+    EXPECT_DEATH(load("[stream]\ntimeout_ms = -1\n"),
+                 "\\[stream\\] timeout_ms = '-1' is not an unsigned");
+    EXPECT_DEATH(load("[faults]\nseed = -1\n"),
+                 "\\[faults\\] seed = '-1' is not an unsigned");
+    EXPECT_DEATH(load("[ec]\nlambda = nan\n"),
+                 "\\[ec\\] lambda = 'nan' is not a number, or not finite");
+    EXPECT_DEATH(load("[deployment]\nthreads = 4294967296\n"),
+                 "up to 4294967295");
+    EXPECT_DEATH(topologyFromIni(util::parseIni(
+                     "[topology]\nservers = -6\n")),
+                 "servers = '-6' is not an unsigned");
+}
+
+TEST(ConfigIo, NegativeFallbackUtilDies)
+{
+    // Staged as demand, a negative fallback would abort the plant on
+    // the first silent tick instead of at load.
+    EXPECT_DEATH(configFromIni(util::parseIni(
+                     "[stream]\nfallback_util = -0.5\n")),
+                 "fallback_util must not be negative");
+    auto cfg = configFromIni(util::parseIni("[stream]\nfallback_util = 0\n"));
+    EXPECT_EQ(cfg.stream.fallback_util, 0.0);
+}
+
 TEST(ConfigIo, NumbersRoundTripBitExactly)
 {
     // Checkpoint resume rebuilds the simulation from configToIni text,

@@ -64,8 +64,8 @@ TEST(Coordinator, CapStackAddsCappers)
     cfg.enable_cap = true;
     Coordinator c(cfg, smallTopo(), model::bladeA(),
                   nps_test::flatTraces(6, 0.3, 32));
-    // 5 actors + 6 electrical cappers.
-    EXPECT_EQ(c.engine().actors().size(), 11u);
+    // 5 actors + the CAP/fleet kernel over the 6 electrical cappers.
+    EXPECT_EQ(c.engine().actors().size(), 6u);
     EXPECT_EQ(c.caps().size(), 6u);
 }
 
@@ -76,13 +76,37 @@ TEST(Coordinator, MemStackAddsMemoryManagers)
     Coordinator c(cfg, smallTopo(), model::bladeA(),
                   nps_test::flatTraces(6, 0.2, 64));
     EXPECT_EQ(c.mems().size(), 6u);
-    EXPECT_EQ(c.engine().actors().size(), 11u);
+    // 5 actors + the MM/fleet kernel over the 6 memory managers.
+    EXPECT_EQ(c.engine().actors().size(), 6u);
     c.run(200);
     // At 22% load every server is quiet: the managers engage.
     unsigned long engaged = 0;
     for (const auto &mm : c.mems())
         engaged += mm->engagements();
     EXPECT_GT(engaged, 0u);
+}
+
+TEST(Coordinator, CapAndMemStackRegistersTwoKernels)
+{
+    auto cfg = core::coordinatedConfig();
+    cfg.enable_cap = true;
+    cfg.enable_mem = true;
+    Coordinator c(cfg, smallTopo(), model::bladeA(),
+                  nps_test::flatTraces(6, 0.3, 32));
+    // No per-server actor: EC, SM, CAP and MM kernels + EM + GM + VMC.
+    ASSERT_EQ(c.engine().actors().size(), 7u);
+    size_t kernels = 0;
+    for (const auto &a : c.engine().actors()) {
+        if (a->kind() == sim::Actor::Kind::Kernel)
+            ++kernels;
+        if (a->name() == "CAP/fleet") {
+            EXPECT_EQ(a->period(), cfg.cap.period);
+        }
+        if (a->name() == "MM/fleet") {
+            EXPECT_EQ(a->period(), cfg.mem.period);
+        }
+    }
+    EXPECT_EQ(kernels, 4u);
 }
 
 TEST(Coordinator, GmWithoutEmsAdoptsAllServers)

@@ -231,6 +231,11 @@ TEST(PlanIo, BadScalarsDie)
                  "ticks must be positive");
     EXPECT_DEATH(parse("[dist]\nsocket = x\n[run]\nrecord_stride = 0\n"),
                  "record_stride must be at least 1");
+    // Negative values once wrapped into huge unsigned ones.
+    EXPECT_DEATH(parse("[dist]\nsocket = x\n[run]\nthreads = -1\n"),
+                 "threads = '-1' is not an unsigned integer");
+    EXPECT_DEATH(parse("[dist]\nsocket = x\ntimeout_ms = -1\n"),
+                 "timeout_ms = '-1' is not an unsigned integer");
 }
 
 } // namespace

@@ -225,9 +225,9 @@ TEST(Determinism, ParallelHeterogeneousMatchesSerialPerTick)
 
 TEST(Determinism, ParallelWithCapAndMemMatchesSerialPerTick)
 {
-    // The optional per-server actors (electrical capper, memory
-    // manager) are shardable too; include them so every shardable actor
-    // kind crosses the parallel path.
+    // The optional per-server controllers (electrical capper, memory
+    // manager) run as kernels too; include them so every kernel crosses
+    // the parallel path.
     core::CoordinationConfig cfg = core::coordinatedConfig();
     cfg.enable_cap = true;
     cfg.enable_mem = true;

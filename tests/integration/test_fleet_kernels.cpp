@@ -17,7 +17,11 @@
  *  - the per-slot observability hooks (metrics and decision traces)
  *    export the same pinned text at every thread count;
  *  - the Coordinator registers one kernel actor per kind, not one
- *    actor per server.
+ *    actor per server;
+ *  - the electrical cappers and memory managers (CAP/fleet, MM/fleet)
+ *    under a campaign of CAP outages and restarts and stuck P-states
+ *    while clamps are on keep a pinned outcome, control-log CSV and
+ *    metrics/trace export at threads 1/4/8 and across a checkpoint.
  */
 
 #include <gtest/gtest.h>
@@ -305,25 +309,197 @@ TEST(FleetKernels, ObservabilityHooksMatchPinnedDigest)
     EXPECT_EQ(fnv1a(serial), fnv1a(observedText(4)));
 }
 
+// ---------------------------------------------------------------------
+// Electrical cappers and memory managers
+// ---------------------------------------------------------------------
+
+constexpr unsigned kCapServers = 500; // one zone: 400 blades + 100
+
+/**
+ * A CAP/MM campaign: server 5's capper is down for ticks 30-90 and
+ * restarts; every capper is down for ticks 150-155 and restarts; every
+ * server's P-state is stuck for ticks 100-120, while clamps are on; and
+ * server 12's EC is down for ticks 40-80, leaving its capper alone.
+ */
+const char *const kCapScript = "outage cap 5 30 90; outage cap * 150 155; "
+                               "stuck * 100 120; outage ec 12 40 80";
+
+/** Outcome, control-log CSV and metrics/trace export of one run. */
+struct CapRun
+{
+    std::string outcome;
+    std::string control_csv;
+    std::string observed;
+};
+
+core::CoordinationConfig
+capConfig(unsigned threads)
+{
+    core::CoordinationConfig cfg = core::fleetConfig();
+    cfg.threads = threads;
+    cfg.enable_cap = true;
+    cfg.enable_mem = true;
+    cfg.cap_limit_frac = 0.8; // low enough that clamps engage often
+    cfg.log_control_plane = true;
+    cfg.observability.metrics = true;
+    cfg.observability.trace = true;
+    cfg.faults.enabled = true;
+    cfg.faults.script = kCapScript;
+    return cfg;
+}
+
+CapRun
+collectCap(const core::Coordinator &coord)
+{
+    CapRun r;
+    const sim::MetricsSummary m = coord.summary();
+    char buf[512];
+    std::snprintf(buf, sizeof buf, "energy=%a mean=%a peak=%a perf=%a\n",
+                  m.energy, m.mean_power, m.peak_power, m.perf_loss);
+    r.outcome = buf;
+    appendDegrade(r.outcome, m.degrade);
+    for (size_t i = 0; i < coord.cluster().numServers(); ++i) {
+        const auto &cap = *coord.caps()[i];
+        const auto &mm = *coord.mems()[i];
+        const sim::Server &srv = coord.cluster().server(i);
+        std::snprintf(buf, sizeof buf, "%zu p%zu mem=%d clamp=%d %a %a %lu\n",
+                      i, srv.pstate(), srv.memLowPower() ? 1 : 0,
+                      cap.clamping() ? 1 : 0, cap.lifetimeViolationRate(),
+                      cap.epochViolationRate(), mm.engagements());
+        r.outcome += buf;
+        appendDegrade(r.outcome, cap.degradeStats());
+    }
+    std::ostringstream control, observed;
+    coord.controlLog()->writeCsv(control);
+    coord.metricsRegistry()->writeProm(observed, /*skip_runtime=*/true);
+    coord.traceSink()->writeCsv(observed);
+    r.control_csv = control.str();
+    r.observed = observed.str();
+    return r;
+}
+
+void
+expectCapEqual(const CapRun &ref, const CapRun &got)
+{
+    EXPECT_EQ(fnv1a(ref.outcome), fnv1a(got.outcome));
+    EXPECT_EQ(fnv1a(ref.control_csv), fnv1a(got.control_csv));
+    EXPECT_EQ(fnv1a(ref.observed), fnv1a(got.observed));
+    EXPECT_EQ(ref.control_csv.size(), got.control_csv.size());
+    EXPECT_EQ(ref.observed.size(), got.observed.size());
+}
+
+const CapRun &
+capReference()
+{
+    static const CapRun ref = [] {
+        auto coord = buildFleet(capConfig(1), kCapServers);
+        coord->run(kTicks);
+        return collectCap(*coord);
+    }();
+    return ref;
+}
+
+TEST(FleetKernels, CapAndMemCampaignMatchesPinnedDigest)
+{
+    auto coord = buildFleet(capConfig(1), kCapServers);
+    coord->run(kTicks);
+    const CapRun &ref = capReference();
+    expectCapEqual(ref, collectCap(*coord));
+    std::printf("cap/mm digest: outcome=%llu/%zu control=%llu/%zu "
+                "observed=%llu/%zu\n",
+                static_cast<unsigned long long>(fnv1a(ref.outcome)),
+                ref.outcome.size(),
+                static_cast<unsigned long long>(fnv1a(ref.control_csv)),
+                ref.control_csv.size(),
+                static_cast<unsigned long long>(fnv1a(ref.observed)),
+                ref.observed.size());
+
+    // The campaign reached what it aims at.
+    const auto &caps = coord->caps();
+    EXPECT_EQ(caps[5]->degradeStats().restarts, 2u);
+    EXPECT_GT(caps[5]->degradeStats().outage_steps, 0u);
+    unsigned long restarts = 0, stuck = 0, engaged = 0;
+    for (const auto &cap : caps) {
+        restarts += cap->degradeStats().restarts;
+        stuck += cap->degradeStats().stuck_actuations;
+    }
+    for (const auto &mm : coord->mems())
+        engaged += mm->engagements();
+    EXPECT_GE(restarts, kCapServers);
+    EXPECT_GT(stuck, 0u);
+    EXPECT_GT(engaged, 0u);
+    EXPECT_NE(ref.control_csv.find("CAP/"), std::string::npos);
+    EXPECT_NE(ref.control_csv.find("MM/"), std::string::npos);
+
+    // Pinned at the commit that still ran one CAP and one MM actor per
+    // server.
+    EXPECT_EQ(fnv1a(ref.outcome), 9557029142175104574ull);
+    EXPECT_EQ(ref.outcome.size(), 32370u);
+    EXPECT_EQ(fnv1a(ref.control_csv), 7896324813218615124ull);
+    EXPECT_EQ(ref.control_csv.size(), 1251792u);
+    EXPECT_EQ(fnv1a(ref.observed), 1958903853132120868ull);
+    EXPECT_EQ(ref.observed.size(), 2241805u);
+}
+
+TEST(FleetKernels, CapAndMemMatchAcrossThreads)
+{
+    for (unsigned threads : {4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        auto coord = buildFleet(capConfig(threads), kCapServers);
+        coord->run(kTicks);
+        expectCapEqual(capReference(), collectCap(*coord));
+    }
+}
+
+TEST(FleetKernels, CapAndMemCheckpointResumeAcrossThreads)
+{
+    // Snapshot at threads 1 inside the stuck window (and after server
+    // 5's capper came back), resume at threads 4.
+    auto first = buildFleet(capConfig(1), kCapServers);
+    first->run(kSplit - 10);
+    ckpt::SnapshotWriter w;
+    first->saveState(w);
+    const std::string bytes = w.serialize();
+
+    auto resumed = buildFleet(capConfig(4), kCapServers);
+    ckpt::SnapshotReader snap;
+    std::string err;
+    ASSERT_TRUE(snap.loadBytes(bytes, "<memory>", err)) << err;
+    resumed->loadState(snap);
+    resumed->run(kTicks - (kSplit - 10));
+    expectCapEqual(capReference(), collectCap(*resumed));
+}
+
 TEST(FleetKernels, CoordinatorRegistersNoPerServerActors)
 {
-    auto coord = buildFleet(kernelConfig(4), 1000);
-    size_t ec_kernels = 0, sm_kernels = 0;
+    core::CoordinationConfig cfg = kernelConfig(4);
+    cfg.enable_cap = true;
+    cfg.enable_mem = true;
+    auto coord = buildFleet(cfg, 1000);
+    size_t ec_kernels = 0, sm_kernels = 0, cap_kernels = 0, mm_kernels = 0;
     for (const auto &a : coord->engine().actors()) {
         const std::string &name = a->name();
         if (name.compare(0, 3, "EC/") == 0)
             ++ec_kernels;
         if (name.compare(0, 3, "SM/") == 0)
             ++sm_kernels;
+        if (name.compare(0, 4, "CAP/") == 0)
+            ++cap_kernels;
+        if (name.compare(0, 3, "MM/") == 0)
+            ++mm_kernels;
     }
     EXPECT_EQ(ec_kernels, 1u);
     EXPECT_EQ(sm_kernels, 1u);
+    EXPECT_EQ(cap_kernels, 1u);
+    EXPECT_EQ(mm_kernels, 1u);
     // EMs and GMs remain one actor each; nothing scales per server.
     EXPECT_LT(coord->engine().actors().size(),
               coord->cluster().numServers() / 4);
-    // The per-server views stay reachable for callers.
+    // The per-server objects stay reachable for callers.
     EXPECT_EQ(coord->ecs().size(), 1000u);
     EXPECT_EQ(coord->sms().size(), 1000u);
+    EXPECT_EQ(coord->caps().size(), 1000u);
+    EXPECT_EQ(coord->mems().size(), 1000u);
 }
 
 } // namespace

@@ -20,10 +20,9 @@ schedule()
 {
     EngineProfiler::ActorInfo gm;
     gm.name = "GM/group";
-    gm.shard_key = -1;
     EngineProfiler::ActorInfo sm;
-    sm.name = "SM/0";
-    sm.shard_key = 0;
+    sm.name = "SM/fleet";
+    sm.kernel = true;
     return {gm, sm};
 }
 
@@ -40,13 +39,14 @@ TEST(Profiler, AccumulatesPerActor)
 
     const auto &gm = prof.actorStats()[0];
     EXPECT_EQ(gm.info.name, "GM/group");
-    EXPECT_EQ(gm.info.shard_key, -1);
+    EXPECT_FALSE(gm.info.kernel);
     EXPECT_EQ(gm.observe_calls, 2u);
     EXPECT_EQ(gm.observe_ns, 150u);
     EXPECT_EQ(gm.step_calls, 0u);
     EXPECT_EQ(gm.slot, 1u);
 
     const auto &sm = prof.actorStats()[1];
+    EXPECT_TRUE(sm.info.kernel);
     EXPECT_EQ(sm.step_calls, 1u);
     EXPECT_EQ(sm.step_ns, 25u);
     EXPECT_EQ(sm.slot, 2u);
@@ -85,6 +85,19 @@ TEST(Profiler, ScheduleChangeResetsTimings)
     EXPECT_EQ(prof.wallNs(), 0u);
 }
 
+TEST(Profiler, KindChangeResetsTimings)
+{
+    // Same names, but an actor changed kind: a different schedule.
+    EngineProfiler prof;
+    prof.setSchedule(schedule(), 1);
+    prof.addStep(1, 10, 0);
+    auto changed = schedule();
+    changed[1].kernel = false;
+    prof.setSchedule(changed, 1);
+    EXPECT_FALSE(prof.actorStats()[1].info.kernel);
+    EXPECT_EQ(prof.actorStats()[1].step_calls, 0u);
+}
+
 TEST(Profiler, PhasesAndRunTotalsAccumulate)
 {
     EngineProfiler prof;
@@ -115,8 +128,8 @@ TEST(Profiler, WriteJsonShape)
     EXPECT_NE(json.find("\"ticks\": 10"), std::string::npos);
     EXPECT_NE(json.find("\"threads\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"GM/group\""), std::string::npos);
-    EXPECT_NE(json.find("\"shard\": -1"), std::string::npos);
-    EXPECT_NE(json.find("\"shard\": 0"), std::string::npos);
+    EXPECT_NE(json.find("\"kind\": \"global\""), std::string::npos);
+    EXPECT_NE(json.find("\"kind\": \"kernel\""), std::string::npos);
     EXPECT_NE(json.find("\"observe_calls\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"step_calls\": 1"), std::string::npos);
 }
@@ -134,8 +147,9 @@ TEST(Profiler, WriteTableSmoke)
     const std::string text = out.str();
     EXPECT_NE(text.find("Engine profile"), std::string::npos);
     EXPECT_NE(text.find("GM/group"), std::string::npos);
-    EXPECT_NE(text.find("SM/0"), std::string::npos);
+    EXPECT_NE(text.find("SM/fleet"), std::string::npos);
     EXPECT_NE(text.find("global"), std::string::npos);
+    EXPECT_NE(text.find("kernel"), std::string::npos);
     EXPECT_NE(text.find("(cluster evaluate)"), std::string::npos);
     EXPECT_NE(text.find("ticks/sec"), std::string::npos);
 }

@@ -175,67 +175,11 @@ TEST_F(EngineTest, AddActorDefersSortingUntilRun)
     EXPECT_EQ(engine_.actors()[1]->name(), "fine");
 }
 
-TEST_F(EngineTest, ReplacementActorKeepsPredecessorsSchedulePosition)
-{
-    // A controller instance rebuilt after a fault-driven restart
-    // re-registers under the same name. The replacement must re-enter
-    // the lazily rebuilt schedule in its predecessor's deterministic
-    // position: coarse-first, and the original slot among equal periods.
-    auto a = std::make_shared<ProbeActor>("a", 2, &log_);
-    auto b = std::make_shared<ProbeActor>("b", 2, &log_);
-    auto c = std::make_shared<ProbeActor>("c", 2, &log_);
-    engine_.addActor(a);
-    engine_.addActor(b);
-    engine_.addActor(c);
-    engine_.run(3);  // ticks 0..2, one step each at tick 2
-    ASSERT_EQ(log_.size(), 3u);
-    EXPECT_EQ(log_[1], "b@2");
-
-    // Replace the middle actor; the roster must not grow, and the
-    // replacement (not the predecessor) receives subsequent work.
-    auto b2 = std::make_shared<ProbeActor>("b", 2, &log_);
-    engine_.addActor(b2);
-    ASSERT_EQ(engine_.actors().size(), 3u);
-    log_.clear();
-    engine_.run(2);  // ticks 3..4, one step each at tick 4
-    ASSERT_EQ(log_.size(), 3u);
-    EXPECT_EQ(log_[0], "a@4");
-    EXPECT_EQ(log_[1], "b@4");
-    EXPECT_EQ(log_[2], "c@4");
-    EXPECT_EQ(b2->steps.size(), 1u);
-    EXPECT_TRUE(b->steps.size() == 1u);  // predecessor saw nothing new
-    EXPECT_EQ(b2->observations, 2u);
-}
-
-TEST_F(EngineTest, ReplacementWithDifferentPeriodResortsDeterministically)
-{
-    // The replacement may change its period (a restarted controller with
-    // new params): it keeps the slot but the rebuilt schedule re-sorts,
-    // so coarse-first still governs across distinct periods.
-    auto fast = std::make_shared<ProbeActor>("x", 1, &log_);
-    auto other = std::make_shared<ProbeActor>("y", 4, &log_);
-    engine_.addActor(fast);
-    engine_.addActor(other);
-    engine_.run(5);
-    log_.clear();
-    auto coarse = std::make_shared<ProbeActor>("x", 8, &log_);
-    engine_.addActor(coarse);
-    engine_.run(4);  // ticks 5..8
-    auto x_pos = std::find(log_.begin(), log_.end(), "x@8");
-    auto y_pos = std::find(log_.begin(), log_.end(), "y@8");
-    ASSERT_NE(x_pos, log_.end());
-    ASSERT_NE(y_pos, log_.end());
-    EXPECT_LT(x_pos - log_.begin(), y_pos - log_.begin());
-    EXPECT_TRUE(fast->steps.empty() ||
-                fast->steps.back() <= 4u);  // replaced instance retired
-}
-
 TEST_F(EngineTest, ActorsOrderingContractInBothPhases)
 {
     // Pins the two-phase actors() ordering contract documented on
-    // Engine::actors(): insertion order (with replacement reusing its
-    // predecessor's slot) before the first run(), schedule order
-    // (descending period, stable for ties) afterwards.
+    // Engine::actors(): insertion order before the first run(), schedule
+    // order (descending period, stable for ties) afterwards.
     auto fine = std::make_shared<ProbeActor>("fine", 1, &log_);
     auto mid_a = std::make_shared<ProbeActor>("mid_a", 5, &log_);
     auto coarse = std::make_shared<ProbeActor>("coarse", 10, &log_);
@@ -245,14 +189,10 @@ TEST_F(EngineTest, ActorsOrderingContractInBothPhases)
     engine_.addActor(coarse);
     engine_.addActor(mid_b);
 
-    // Phase 1: insertion order, and a pre-run replacement reuses the
-    // predecessor's slot instead of appending.
-    auto mid_a2 = std::make_shared<ProbeActor>("mid_a", 5, &log_);
-    engine_.addActor(mid_a2);
+    // Phase 1: insertion order.
     ASSERT_EQ(engine_.actors().size(), 4u);
     EXPECT_EQ(engine_.actors()[0]->name(), "fine");
     EXPECT_EQ(engine_.actors()[1]->name(), "mid_a");
-    EXPECT_EQ(engine_.actors()[1].get(), mid_a2.get());
     EXPECT_EQ(engine_.actors()[2]->name(), "coarse");
     EXPECT_EQ(engine_.actors()[3]->name(), "mid_b");
 
@@ -264,8 +204,7 @@ TEST_F(EngineTest, ActorsOrderingContractInBothPhases)
     EXPECT_EQ(engine_.actors()[1]->name(), "mid_a");
     EXPECT_EQ(engine_.actors()[2]->name(), "mid_b");
     EXPECT_EQ(engine_.actors()[3]->name(), "fine");
-    EXPECT_EQ(mid_a->steps.size(), 0u);   // replaced before any work
-    EXPECT_EQ(mid_a2->steps.size(), 2u);  // ticks 5 and 10
+    EXPECT_EQ(mid_a->steps.size(), 2u); // ticks 5 and 10
 
     // The step log at tick 10 matches the reported schedule order.
     std::vector<std::string> tick10;
@@ -288,6 +227,19 @@ TEST_F(EngineTest, ZeroPeriodDies)
 {
     auto a = std::make_shared<ProbeActor>("z", 0, &log_);
     EXPECT_DEATH(engine_.addActor(a), "zero period");
+}
+
+TEST_F(EngineTest, DuplicateNameDies)
+{
+    // Names are the checkpoint roster: a second actor under a taken
+    // name dies, before and after the schedule is built. One thread, so
+    // the death test forks no running workers.
+    engine_.setThreads(1);
+    engine_.addActor(std::make_shared<ProbeActor>("a", 1, &log_));
+    auto twin = std::make_shared<ProbeActor>("a", 2, &log_);
+    EXPECT_DEATH(engine_.addActor(twin), "name a is already taken");
+    engine_.run(2);
+    EXPECT_DEATH(engine_.addActor(twin), "name a is already taken");
 }
 
 /** A toy kernel store: per-slot call counts plus the ranges it ran. */
@@ -328,7 +280,7 @@ TEST_F(EngineTest, KernelActorRunsOncePerShardOnItsBlock)
     auto store = std::make_shared<CountingStore>(cluster_.numServers());
     auto kernel =
         std::make_shared<KernelActor<CountingStore>>("K/fleet", store);
-    EXPECT_EQ(kernel->shardKey(), Actor::kKernelShard);
+    EXPECT_EQ(kernel->kind(), Actor::Kind::Kernel);
     engine_.setThreads(4);
     engine_.addActor(kernel);
     engine_.run(5); // steps at ticks 2 and 4
@@ -340,7 +292,7 @@ TEST_F(EngineTest, KernelActorRunsOncePerShardOnItsBlock)
         EXPECT_EQ(store->stepped[i], 2u) << i;
     }
 
-    // The serial engine calls the kernel once over every slot.
+    // One thread runs the same plan with one shard: every slot at once.
     store->ranges.clear();
     engine_.setThreads(1);
     engine_.run(2); // steps at tick 6

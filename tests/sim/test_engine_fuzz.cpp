@@ -1,22 +1,24 @@
 /**
  * @file
- * Randomized scheduling tests for the parallel tick engine.
+ * Randomized scheduling tests for the tick engine.
  *
  * Each iteration builds a random actor population — random periods,
- * random insertion order, random shardable/global mix — runs it on the
- * sharded path (threads = 4) and checks the engine's scheduling
+ * random insertion order, a random mix of kernels and global actors —
+ * runs it at a random thread count, and checks the engine's scheduling
  * invariants hold regardless of the draw:
  *
  *   - no actor steps at tick 0;
- *   - an actor steps exactly at the positive multiples of its period;
- *   - every actor observes every tick, and all observations of a tick
- *     complete before any step of that tick;
- *   - ordered pairs (two globals, a global and anything, or two actors
- *     on the same shard key) step coarse-period-first, stable by
- *     insertion order for ties.
+ *   - every slot of every actor (a global actor has one) observes every
+ *     tick, and steps exactly at the positive multiples of its period;
+ *   - all observations of a tick complete before any step of it;
+ *   - within each phase, a global actor is a barrier: everything
+ *     scheduled before it has finished, on every slot, before it runs,
+ *     and everything after it starts later;
+ *   - two kernels run on the same slot in schedule order: coarse period
+ *     first, stable by insertion order for ties.
  *
- * Shardable actors on *different* shard keys may interleave freely
- * within a segment — the tests deliberately do not constrain them.
+ * Kernel slots on *different* servers may interleave freely within a
+ * segment — the tests deliberately do not constrain them.
  */
 
 #include <gtest/gtest.h>
@@ -37,58 +39,69 @@ namespace {
 
 using namespace nps::sim;
 
-/** Stamps every observe()/step() with a process-wide sequence number. */
+/** (tick, sequence number) of every call one slot received. */
+using Stamps = std::vector<std::pair<size_t, uint64_t>>;
+
+/**
+ * A global actor (one slot) or a kernel (one slot per server) that
+ * stamps every call of every slot with a process-wide sequence number.
+ * A slot is only ever run by one shard, so its stamp list needs no lock.
+ */
 class FuzzActor : public Actor
 {
   public:
-    FuzzActor(std::string name, unsigned period, long shard,
+    FuzzActor(std::string name, unsigned period, bool kernel, size_t slots,
               std::atomic<uint64_t> *clock)
-        : name_(std::move(name)), period_(period), shard_(shard),
-          clock_(clock)
+        : observe_stamps(kernel ? slots : 1),
+          step_stamps(kernel ? slots : 1), name_(std::move(name)),
+          period_(period), kernel_(kernel), clock_(clock)
     {
     }
 
     const std::string &name() const override { return name_; }
     unsigned period() const override { return period_; }
-    long shardKey() const override { return shard_; }
+    Kind kind() const override
+    {
+        return kernel_ ? Kind::Kernel : Kind::Global;
+    }
+
+    void observe(size_t tick) override { stamp(observe_stamps[0], tick); }
+    void step(size_t tick) override { stamp(step_stamps[0], tick); }
 
     void
-    observe(size_t tick) override
+    observeSlots(size_t tick, size_t lo, size_t hi) override
     {
-        observe_stamps.push_back({tick, clock_->fetch_add(1)});
+        for (size_t i = lo; i < hi; ++i)
+            stamp(observe_stamps[i], tick);
     }
 
     void
-    step(size_t tick) override
+    stepSlots(size_t tick, size_t lo, size_t hi) override
     {
-        step_stamps.push_back({tick, clock_->fetch_add(1)});
+        for (size_t i = lo; i < hi; ++i)
+            stamp(step_stamps[i], tick);
     }
 
-    long shard() const { return shard_; }
+    bool kernel() const { return kernel_; }
 
-    std::vector<std::pair<size_t, uint64_t>> observe_stamps;
-    std::vector<std::pair<size_t, uint64_t>> step_stamps;
+    std::vector<Stamps> observe_stamps; //!< per slot
+    std::vector<Stamps> step_stamps;    //!< per slot
 
   private:
+    void
+    stamp(Stamps &stamps, size_t tick)
+    {
+        stamps.push_back({tick, clock_->fetch_add(1)});
+    }
+
     std::string name_;
     unsigned period_;
-    long shard_;
+    bool kernel_;
     std::atomic<uint64_t> *clock_;
 };
 
-/** True when the schedule fully orders the pair's steps within a tick:
- * a global actor is a barrier against everything, and same-shard actors
- * run serially in schedule order. */
-bool
-ordered(const FuzzActor &a, const FuzzActor &b)
-{
-    return a.shard() == Actor::kGlobalShard ||
-           b.shard() == Actor::kGlobalShard || a.shard() == b.shard();
-}
-
 uint64_t
-stampAt(const std::vector<std::pair<size_t, uint64_t>> &stamps,
-        size_t tick)
+stampAt(const Stamps &stamps, size_t tick)
 {
     for (const auto &s : stamps)
         if (s.first == tick)
@@ -97,29 +110,67 @@ stampAt(const std::vector<std::pair<size_t, uint64_t>> &stamps,
     return 0;
 }
 
+/** Earliest and latest stamp of @p slots at @p tick, over all slots. */
+std::pair<uint64_t, uint64_t>
+spanAt(const std::vector<Stamps> &slots, size_t tick)
+{
+    uint64_t lo = UINT64_MAX, hi = 0;
+    for (const Stamps &s : slots) {
+        const uint64_t t = stampAt(s, tick);
+        lo = std::min(lo, t);
+        hi = std::max(hi, t);
+    }
+    return {lo, hi};
+}
+
+/**
+ * Check the phase order at @p tick of @p first, then @p second (by
+ * schedule rank): a barrier when either is global, else slot by slot.
+ */
+void
+expectOrdered(const FuzzActor &first, const FuzzActor &second,
+              const std::vector<Stamps> &a, const std::vector<Stamps> &b,
+              size_t tick, const char *phase)
+{
+    if (first.kernel() && second.kernel()) {
+        for (size_t slot = 0; slot < a.size(); ++slot) {
+            EXPECT_LT(stampAt(a[slot], tick), stampAt(b[slot], tick))
+                << first.name() << " must " << phase << " before "
+                << second.name() << " on slot " << slot << " at tick "
+                << tick;
+        }
+        return;
+    }
+    EXPECT_LT(spanAt(a, tick).second, spanAt(b, tick).first)
+        << first.name() << " (period " << first.period() << ") must "
+        << phase << " before " << second.name() << " (period "
+        << second.period() << ") at tick " << tick;
+}
+
 void
 fuzzOnce(uint32_t seed)
 {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937 rng(seed);
     constexpr size_t kTicks = 40;
+    const unsigned kThreadChoices[] = {1, 2, 3, 4, 8};
 
     Cluster cluster = nps_test::smallCluster();
     MetricsCollector metrics;
     Engine engine(cluster, metrics);
-    engine.setThreads(4);
+    const unsigned threads = kThreadChoices[rng() % 5];
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    engine.setThreads(threads);
 
     std::atomic<uint64_t> clock{0};
     const size_t count = 8 + rng() % 12;
     std::vector<std::shared_ptr<FuzzActor>> actors;
     for (size_t i = 0; i < count; ++i) {
         const unsigned period = 1 + rng() % 13;
-        const bool global = rng() % 3 == 0;
-        const long shard =
-            global ? Actor::kGlobalShard
-                   : static_cast<long>(rng() % cluster.numServers());
+        const bool kernel = rng() % 3 != 0;
         actors.push_back(std::make_shared<FuzzActor>(
-            "f" + std::to_string(i), period, shard, &clock));
+            "f" + std::to_string(i), period, kernel, cluster.numServers(),
+            &clock));
         engine.addActor(actors.back());
     }
     engine.run(kTicks);
@@ -140,21 +191,23 @@ fuzzOnce(uint32_t seed)
     }
 
     for (const auto &a : actors) {
-        // Every tick observed, in order.
-        ASSERT_EQ(a->observe_stamps.size(), kTicks) << a->name();
-        for (size_t t = 0; t < kTicks; ++t)
-            EXPECT_EQ(a->observe_stamps[t].first, t) << a->name();
-
-        // Steps at exactly the positive multiples of the period.
         std::vector<size_t> expected;
         for (size_t t = a->period(); t < kTicks; t += a->period())
             expected.push_back(t);
-        ASSERT_EQ(a->step_stamps.size(), expected.size()) << a->name();
-        for (size_t i = 0; i < expected.size(); ++i)
-            EXPECT_EQ(a->step_stamps[i].first, expected[i]) << a->name();
-        EXPECT_TRUE(a->step_stamps.empty() ||
-                    a->step_stamps.front().first > 0)
-            << a->name() << " stepped at tick 0";
+        for (size_t slot = 0; slot < a->observe_stamps.size(); ++slot) {
+            SCOPED_TRACE(a->name() + " slot " + std::to_string(slot));
+            // Every tick observed, in order.
+            const Stamps &obs = a->observe_stamps[slot];
+            ASSERT_EQ(obs.size(), kTicks);
+            for (size_t t = 0; t < kTicks; ++t)
+                EXPECT_EQ(obs[t].first, t);
+
+            // Steps at exactly the positive multiples of the period.
+            const Stamps &steps = a->step_stamps[slot];
+            ASSERT_EQ(steps.size(), expected.size());
+            for (size_t i = 0; i < expected.size(); ++i)
+                EXPECT_EQ(steps[i].first, expected[i]);
+        }
     }
 
     for (size_t tick = 1; tick < kTicks; ++tick) {
@@ -163,32 +216,27 @@ fuzzOnce(uint32_t seed)
         uint64_t min_step = UINT64_MAX;
         for (const auto &a : actors) {
             max_observe =
-                std::max(max_observe, stampAt(a->observe_stamps, tick));
+                std::max(max_observe, spanAt(a->observe_stamps, tick).second);
             if (tick % a->period() == 0)
                 min_step =
-                    std::min(min_step, stampAt(a->step_stamps, tick));
+                    std::min(min_step, spanAt(a->step_stamps, tick).first);
         }
         if (min_step != UINT64_MAX) {
             EXPECT_LT(max_observe, min_step) << "tick " << tick;
         }
 
-        // Coarse-first, insertion-stable order for every ordered pair.
+        // Every pair, in both phases, in schedule order.
         for (size_t i = 0; i < count; ++i) {
-            if (tick % actors[i]->period() != 0)
-                continue;
             for (size_t j = i + 1; j < count; ++j) {
-                if (tick % actors[j]->period() != 0 ||
-                    !ordered(*actors[i], *actors[j]))
-                    continue;
-                const size_t first =
-                    rank_of[i] < rank_of[j] ? i : j;
-                const size_t second = first == i ? j : i;
-                EXPECT_LT(stampAt(actors[first]->step_stamps, tick),
-                          stampAt(actors[second]->step_stamps, tick))
-                    << actors[first]->name() << " (period "
-                    << actors[first]->period() << ") must step before "
-                    << actors[second]->name() << " (period "
-                    << actors[second]->period() << ") at tick " << tick;
+                const bool i_first = rank_of[i] < rank_of[j];
+                const FuzzActor &first = *actors[i_first ? i : j];
+                const FuzzActor &second = *actors[i_first ? j : i];
+                expectOrdered(first, second, first.observe_stamps,
+                              second.observe_stamps, tick, "observe");
+                if (tick % first.period() == 0 &&
+                    tick % second.period() == 0)
+                    expectOrdered(first, second, first.step_stamps,
+                                  second.step_stamps, tick, "step");
             }
         }
     }
@@ -196,14 +244,14 @@ fuzzOnce(uint32_t seed)
 
 TEST(EngineFuzz, RandomActorSetsKeepSchedulingInvariants)
 {
-    for (uint32_t seed : {1u, 7u, 42u, 1234u, 99999u})
+    for (uint32_t seed : {1u, 7u, 42u, 1234u, 99999u, 3u, 21u, 777u, 4242u})
         fuzzOnce(seed);
 }
 
 TEST(EngineFuzz, AllGlobalPopulationStaysSerialOrdered)
 {
-    // Degenerate draw: every actor global — the parallel engine must
-    // behave exactly like the serial one.
+    // Degenerate draw: every actor global — the engine must run them
+    // one after another in schedule order at any thread count.
     std::mt19937 rng(5);
     constexpr size_t kTicks = 30;
     Cluster cluster = nps_test::smallCluster();
@@ -214,8 +262,8 @@ TEST(EngineFuzz, AllGlobalPopulationStaysSerialOrdered)
     std::vector<std::shared_ptr<FuzzActor>> actors;
     for (size_t i = 0; i < 10; ++i) {
         actors.push_back(std::make_shared<FuzzActor>(
-            "g" + std::to_string(i), 1 + rng() % 5, Actor::kGlobalShard,
-            &clock));
+            "g" + std::to_string(i), 1 + rng() % 5, /*kernel=*/false,
+            cluster.numServers(), &clock));
         engine.addActor(actors.back());
     }
     engine.run(kTicks);
@@ -227,7 +275,7 @@ TEST(EngineFuzz, AllGlobalPopulationStaysSerialOrdered)
                 continue;
             auto *fa = dynamic_cast<FuzzActor *>(a.get());
             ASSERT_NE(fa, nullptr);
-            const uint64_t stamp = stampAt(fa->step_stamps, tick);
+            const uint64_t stamp = stampAt(fa->step_stamps[0], tick);
             if (have_prev) {
                 EXPECT_LT(prev, stamp) << "tick " << tick;
             }
@@ -235,134 +283,6 @@ TEST(EngineFuzz, AllGlobalPopulationStaysSerialOrdered)
             have_prev = true;
         }
     }
-}
-
-void
-fuzzReplaceOnce(uint32_t seed)
-{
-    // Mixes mid-simulation addActor() — both fresh names and name-matched
-    // replacements — with the sharded batch dispatch: after the roster
-    // churn, the rebuilt flattened segments must still honour every
-    // scheduling invariant, replaced instances must stop receiving work,
-    // and replacements must step exactly where their predecessors would
-    // have.
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    std::mt19937 rng(seed);
-    constexpr size_t kFirst = 15;
-    constexpr size_t kTicks = 30;
-
-    Cluster cluster = nps_test::smallCluster();
-    MetricsCollector metrics;
-    Engine engine(cluster, metrics);
-    engine.setThreads(4);
-
-    std::atomic<uint64_t> clock{0};
-    auto draw = [&](const std::string &name) {
-        const unsigned period = 1 + rng() % 7;
-        const bool global = rng() % 4 == 0;
-        const long shard =
-            global ? Actor::kGlobalShard
-                   : static_cast<long>(rng() % cluster.numServers());
-        return std::make_shared<FuzzActor>(name, period, shard, &clock);
-    };
-
-    const size_t count = 9 + rng() % 9;
-    std::vector<std::shared_ptr<FuzzActor>> originals;
-    for (size_t i = 0; i < count; ++i) {
-        originals.push_back(draw("r" + std::to_string(i)));
-        engine.addActor(originals.back());
-    }
-    engine.run(kFirst);
-
-    // Replace roughly a third by name — same period and shard, so the
-    // replacement inherits the predecessor's exact schedule position —
-    // and add a couple of newcomers.
-    std::vector<std::shared_ptr<FuzzActor>> replacements;
-    for (size_t i = 0; i < count; ++i) {
-        if (rng() % 3 != 0)
-            continue;
-        auto twin = std::make_shared<FuzzActor>(
-            originals[i]->name(), originals[i]->period(),
-            originals[i]->shard(), &clock);
-        replacements.push_back(twin);
-        engine.addActor(twin);
-    }
-    const size_t added = 2 + rng() % 3;
-    std::vector<std::shared_ptr<FuzzActor>> newcomers;
-    for (size_t i = 0; i < added; ++i) {
-        newcomers.push_back(draw("n" + std::to_string(i)));
-        engine.addActor(newcomers.back());
-    }
-    engine.run(kTicks - kFirst);
-
-    ASSERT_EQ(engine.actors().size(), count + added);
-
-    // Current roster, in post-run schedule order; rank = vector index.
-    std::vector<FuzzActor *> current;
-    for (const auto &a : engine.actors()) {
-        auto *fa = dynamic_cast<FuzzActor *>(a.get());
-        ASSERT_NE(fa, nullptr);
-        current.push_back(fa);
-    }
-
-    // Replaced instances received nothing after the swap.
-    for (const auto &r : replacements) {
-        for (const auto &orig : originals) {
-            if (orig->name() != r->name() || orig.get() == r.get())
-                continue;
-            EXPECT_TRUE(orig->observe_stamps.empty() ||
-                        orig->observe_stamps.back().first < kFirst)
-                << orig->name();
-            EXPECT_TRUE(orig->step_stamps.empty() ||
-                        orig->step_stamps.back().first < kFirst)
-                << orig->name();
-        }
-    }
-
-    for (FuzzActor *a : current) {
-        // Every second-run tick observed, in order.
-        const size_t window = kTicks - kFirst;
-        ASSERT_GE(a->observe_stamps.size(), window) << a->name();
-        const size_t base = a->observe_stamps.size() - window;
-        for (size_t t = 0; t < window; ++t)
-            EXPECT_EQ(a->observe_stamps[base + t].first, kFirst + t)
-                << a->name();
-
-        // Steps in the window at exactly the period multiples.
-        std::vector<size_t> expected;
-        for (size_t t = a->period(); t < kTicks; t += a->period())
-            if (t >= kFirst)
-                expected.push_back(t);
-        std::vector<size_t> got;
-        for (const auto &s : a->step_stamps)
-            if (s.first >= kFirst)
-                got.push_back(s.first);
-        EXPECT_EQ(got, expected) << a->name();
-    }
-
-    // Ordered pairs still step coarse-first / schedule-stable in the
-    // window, across the rebuilt batched segments.
-    for (size_t tick = kFirst; tick < kTicks; ++tick) {
-        for (size_t i = 0; i < current.size(); ++i) {
-            if (tick % current[i]->period() != 0)
-                continue;
-            for (size_t j = i + 1; j < current.size(); ++j) {
-                if (tick % current[j]->period() != 0 ||
-                    !ordered(*current[i], *current[j]))
-                    continue;
-                EXPECT_LT(stampAt(current[i]->step_stamps, tick),
-                          stampAt(current[j]->step_stamps, tick))
-                    << current[i]->name() << " must step before "
-                    << current[j]->name() << " at tick " << tick;
-            }
-        }
-    }
-}
-
-TEST(EngineFuzz, ReplaceAndAddAcrossRunsKeepBatchedDispatchInvariants)
-{
-    for (uint32_t seed : {3u, 21u, 777u, 4242u})
-        fuzzReplaceOnce(seed);
 }
 
 } // namespace

@@ -459,4 +459,23 @@ TEST(ClusterFeed, FallbackImmediatelyWhenHoldDisabled)
     EXPECT_EQ(feed.stats().fallback_samples, 2u);
 }
 
+TEST(ClusterFeedDeathTest, NegativeOrNonFiniteFallbackIsFatal)
+{
+    // The fallback is staged as demand: a negative one would abort the
+    // plant on the first silent tick, a NaN would poison every sum.
+    for (double bad : {-0.5, kNaN, kInf}) {
+        EXPECT_DEATH(
+            {
+                sim::Cluster cluster = nps_test::smallCluster(0.3);
+                WindowSource src(cluster.numVms(), 2, 1);
+                StreamConfig cfg;
+                cfg.hold_last = false;
+                cfg.fallback_util = bad;
+                ClusterFeed feed(cluster, src, cfg);
+            },
+            "fallback_util .* is not a finite, non-negative demand")
+            << bad;
+    }
+}
+
 } // namespace

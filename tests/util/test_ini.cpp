@@ -60,14 +60,16 @@ TEST(Ini, EmptySectionRegistered)
 
 TEST(Ini, TypedGetters)
 {
-    auto ini = parseIni("[s]\nd = 2.5\ni = -7\nb1 = true\nb2 = off\n");
-    EXPECT_DOUBLE_EQ(ini.getDouble("s", "d", 0.0), 2.5);
-    EXPECT_EQ(ini.getInt("s", "i", 0), -7);
+    auto ini = parseIni("[s]\nd = -2.5\ni = 7\nbig = 18446744073709551615\n"
+                        "b1 = true\nb2 = off\n");
+    EXPECT_DOUBLE_EQ(ini.getDouble("s", "d", 0.0), -2.5);
+    EXPECT_EQ(ini.getUnsigned("s", "i", 0u), 7u);
+    EXPECT_EQ(ini.getUnsigned("s", "big", 0ul), 18446744073709551615ul);
     EXPECT_TRUE(ini.getBool("s", "b1", false));
     EXPECT_FALSE(ini.getBool("s", "b2", true));
     // Fallbacks for missing keys.
     EXPECT_DOUBLE_EQ(ini.getDouble("s", "nope", 9.5), 9.5);
-    EXPECT_EQ(ini.getInt("s", "nope", 3), 3);
+    EXPECT_EQ(ini.getUnsigned("s", "nope", 3u), 3u);
     EXPECT_TRUE(ini.getBool("s", "nope", true));
 }
 
@@ -86,7 +88,33 @@ TEST(Ini, MalformedValuesDie)
     auto ini = parseIni("[s]\nd = abc\nb = maybe\ni = 1.5\n");
     EXPECT_DEATH(ini.getDouble("s", "d", 0.0), "not a number");
     EXPECT_DEATH(ini.getBool("s", "b", false), "not a boolean");
-    EXPECT_DEATH(ini.getInt("s", "i", 0), "not an integer");
+    EXPECT_DEATH(ini.getUnsigned("s", "i", 0u), "not an unsigned integer");
+}
+
+TEST(Ini, NonFiniteNumbersDie)
+{
+    // strtod reads these; a config value must be a finite number.
+    auto ini = parseIni("[s]\na = nan\nb = inf\nc = -inf\nd = 1e999\n");
+    for (const char *key : {"a", "b", "c", "d"})
+        EXPECT_DEATH(ini.getDouble("s", key, 0.0),
+                     "is not a number, or not finite")
+            << key;
+}
+
+TEST(Ini, UnsignedValuesFailClosed)
+{
+    // A sign, a blank, a fraction or a value past the target type dies
+    // instead of wrapping into a huge unsigned.
+    auto ini = parseIni("[s]\nneg = -1\nplus = +5\nfrac = 2.0\n"
+                        "hex = 0x10\nwide = 4294967296\n"
+                        "huge = 18446744073709551616\n");
+    for (const char *key : {"neg", "plus", "frac", "hex", "wide", "huge"})
+        EXPECT_DEATH(ini.getUnsigned("s", key, 0u),
+                     "is not an unsigned integer up to 4294967295")
+            << key;
+    EXPECT_EQ(ini.getUnsigned("s", "wide", 0ul), 4294967296ul);
+    EXPECT_DEATH(ini.getUnsigned("s", "huge", 0ul),
+                 "up to 18446744073709551615");
 }
 
 TEST(Ini, MalformedSyntaxDies)
